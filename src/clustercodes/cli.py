@@ -140,23 +140,6 @@ def _build_config(args) -> dict:
     return obj
 
 
-def _generator_matrix(p):
-    """The placement's encoding matrix, for debugging dumps."""
-    from .mbr import mbr_codec
-    from .mdscodec import Matrix
-    from .msr import nondiv_codec, stacked_codec, wrapped_codec
-    if p.kind in ("mbr0", "mbr"):
-        return mbr_codec(p).generator
-    if p.kind == "msr0-nondiv":
-        return nondiv_codec(p)[1]
-    if p.kind == "msr-stacked":
-        return stacked_codec(p).generator
-    if p.kind == "msr-wrapped":
-        base = wrapped_codec(p)
-        return Matrix(base.n, 2 * base.alpha, [row[:] for row in base.psi])
-    return p.codec.generator  # msr0-div component code
-
-
 def cmd_build(args) -> int:
     config = codes.parse_config(_build_config(args))
     gf = config["gf"] or codes.default_field(config["kind"], config["topology"],
@@ -170,7 +153,7 @@ def cmd_build(args) -> int:
                     config["chi"], config["epsilon"])
     _write(args.out, dump_json(placement_to_obj(p)))
     if args.dump_generator:
-        gen = _generator_matrix(p)
+        gen = codes.generator(p)
         width = p.gf.m // 4
         rows = (",".join(f"{x:0{width}x}" for x in row) for row in gen.data)
         _write(args.dump_generator, "\n".join(rows) + "\n")

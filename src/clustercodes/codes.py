@@ -1,15 +1,24 @@
-"""Kind-keyed dispatch over the code constructions plus config handling."""
+"""The code kinds, their parameters, and one engine serving all of them:
+TABLE gives each kind its construction (layout, component codes and repair
+plan; see construction.py), and build, repair, regenerate and reconstruct
+run any construction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from operator import xor
 from typing import Any
 
 from . import mbr, msr
 from .capacity import (derive, mbr_filesize_pos, mbr_filesize_zero,
                        mbr_theta_pos, mbr_theta_zero)
-from .errors import FormatError, ParamError, RegimeError
+from .construction import Construction, RepairPlan
+from .errors import (FormatError, InconsistentSharesError, InsufficientDataError,
+                     ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
+from .mdscodec import Matrix, mat_solve, rs_decode, rs_encode, vec_mat
 from .placement import KINDS, Holding, Placement, RepairTranscript
 from .topology import ClusterTopology, NodeId
 
@@ -56,12 +65,13 @@ def declared_params(kind: str, top: ClusterTopology, chi: int | None = None,
                 "chi": chi, "epsilon": Fraction(1, chi)}
     if kind == "msr0-div":
         if k % n_i != 0:
-            raise RegimeError(f"msr0-div needs n_I | k (n_I={n_i}, k={k})")
+            raise RegimeError(f"msr0-div needs n_I | k (n_I={n_i}, k={k}); use msr0-nondiv")
         return {"alpha": n_i, "beta_i": n_i, "beta_c": 0, "gamma": (n_i - 1) * n_i,
                 "M": k * (n_i - 1), "theta": n * n_i, "epsilon": Fraction(0)}
     if kind == "msr0-nondiv":
         if k % n_i == 0:
-            raise RegimeError(f"msr0-nondiv needs n_I to not divide k (n_I={n_i}, k={k})")
+            raise RegimeError(f"msr0-nondiv needs n_I to not divide k (n_I={n_i}, k={k}); "
+                              f"use msr0-div")
         m_size = k - derive(top).q
         return {"alpha": 1, "beta_i": 1, "beta_c": 0, "gamma": n_i - 1,
                 "M": m_size, "theta": n, "epsilon": Fraction(0)}
@@ -73,10 +83,9 @@ def declared_params(kind: str, top: ClusterTopology, chi: int | None = None,
         return {"alpha": n - k, "beta_i": n - k, "beta_c": 1, "gamma": k * (n - k),
                 "M": k * (n - k), "theta": n * (n - k), "epsilon": Fraction(1, n - k)}
     if kind == "msr-wrapped":
-        if epsilon is None:
-            raise ParamError("msr-wrapped needs an epsilon in [1/(n-k), 1]")
         if chi is None:
-            raise ParamError(f"1/epsilon must be a positive integer, got {epsilon}")
+            raise ParamError(f"msr-wrapped needs epsilon = 1/chi in [1/(n-k), 1] for an "
+                             f"integer chi, got {epsilon}")
         if not Fraction(1, n - k) <= epsilon <= 1:
             raise RegimeError(f"msr-wrapped covers 1/(n-k) <= eps <= 1; got {epsilon}")
         return {"alpha": n - k, "beta_i": chi, "beta_c": 1,
@@ -85,88 +94,223 @@ def declared_params(kind: str, top: ClusterTopology, chi: int | None = None,
     raise ParamError(f"unknown code kind {kind!r}")
 
 
-def points_needed(kind: str, top: ClusterTopology, chi: int | None = None,
-                  epsilon: Fraction | None = None) -> int:
-    """Distinct evaluation points a construction consumes (theta or n)."""
-    if kind in ("mbr0", "mbr"):
-        return declared_params(kind, top, chi, epsilon)["theta"]
-    return top.n
-
-
 def default_field(kind: str, top: ClusterTopology, chi: int | None = None,
                   epsilon: Fraction | None = None) -> GF:
-    """GF(2^8) when it fits, otherwise promoted to GF(2^16)."""
-    return field_for_codeword_length(points_needed(kind, top, chi, epsilon))
+    """GF(2^8) when the code's evaluation points fit, otherwise GF(2^16): the
+    bandwidth codes evaluate at theta points, the others at n."""
+    if kind in ("mbr0", "mbr"):
+        return field_for_codeword_length(declared_params(kind, top, chi, epsilon)["theta"])
+    return field_for_codeword_length(top.n)
+
+
+def _no_params(top: ClusterTopology, gf: GF) -> dict:
+    return {}
+
+
+# kind -> (construction from topology, field and declared parameters,
+#          parameters a build chooses and records beside the declared ones)
+TABLE = {
+    "mbr0": (mbr.transfer, _no_params),
+    "mbr": (mbr.transfer, _no_params),
+    "msr0-div": (msr.div, _no_params),
+    "msr0-nondiv": (msr.nondiv, msr.nondiv_search),
+    "msr-stacked": (msr.stacked, _no_params),
+    "msr-wrapped": (msr.wrapped, lambda top, gf: {"base": "product-matrix"}),
+}
+
+
+def construction(kind: str, top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """The construction of a placement's code. Of params, only chi and the
+    msr0-nondiv evaluation points and parity weights define it."""
+    return _construction(kind, top, gf, params.get("chi"),
+                         tuple(params.get("eval_points", ())),
+                         tuple(params.get("parity_weights", ())))
+
+
+@lru_cache(maxsize=32)
+def _construction(kind: str, top: ClusterTopology, gf: GF, chi: int | None,
+                  points: tuple[int, ...], weights: tuple[int, ...]) -> Construction:
+    declared = declared_params(kind, top, chi)
+    return TABLE[kind][0](top, gf, dict(declared, eval_points=points,
+                                        parity_weights=weights))
+
+
+def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holding]:
+    theta, m_size = con.params["theta"], con.params["M"]
+    holdings: dict[NodeId, Holding] = {node: [] for node in con.layout}
+    word = [0] * (theta + 1)
+    for inst in range(len(source) // m_size):
+        msg = source[inst * m_size:(inst + 1) * m_size]
+        for comp in con.components:
+            part = msg[comp.msg]
+            vals = rs_encode(comp.rs, part) if comp.rs else vec_mat(gf, part, comp.generator)
+            for i, val in zip(comp.idx, vals):
+                word[i] = val
+        base = inst * theta
+        for node, idxs in con.layout.items():
+            holdings[node] += [(base + i, word[i]) for i in idxs]
+    return holdings
 
 
 def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
           chi: int | None = None, epsilon: Fraction | None = None) -> Placement:
-    chi, epsilon = resolve_chi(chi, epsilon)
-    if kind == "mbr0":
-        return mbr.build_mbr_zero(top, source, gf)
-    if kind == "mbr":
-        if chi is None:
-            raise ParamError(
-                f"1/epsilon must be a positive integer for the bandwidth code, "
-                f"got epsilon={epsilon}"
-            )
-        return mbr.build_mbr_pos(top, chi, source, gf)
-    if kind == "msr0-div":
-        return msr.build_msr_div(top, source, gf)
-    if kind == "msr0-nondiv":
-        return msr.build_msr_nondiv(top, source, gf)
-    if kind == "msr-stacked":
-        if epsilon is not None and epsilon != Fraction(1, top.n - top.k):
-            raise RegimeError(f"msr-stacked fixes epsilon = 1/(n-k); got {epsilon}")
-        return msr.build_msr_stacked(top, source, gf)
-    if kind == "msr-wrapped":
-        if epsilon is None:
-            raise ParamError("msr-wrapped needs an epsilon in [1/(n-k), 1]")
-        return msr.build_msr_wrapped(top, epsilon, source, gf)
-    raise ParamError(f"unknown code kind {kind!r}")
+    """Encode source, s = len(source)/M instances of M symbols each."""
+    if top.k >= top.n:
+        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
+    params = declared_params(kind, top, chi, epsilon)
+    if not source or len(source) % params["M"]:
+        raise ParamError(
+            f"source length {len(source)} is not a positive multiple of M={params['M']}")
+    params |= TABLE[kind][1](top, gf)
+    con = construction(kind, top, gf, params)
+    params |= {"epsilon": str(params["epsilon"]), "s": len(source) // params["M"]}
+    return Placement(kind, top, gf, params, _encode(con, gf, source))
+
+
+def generator(p: Placement) -> Matrix:
+    """The M x theta encoding matrix: row r is what unit source r encodes to."""
+    con = construction(p.kind, p.topology, p.gf, p.params)
+    m_size, theta = con.params["M"], con.params["theta"]
+    rows = [[0] * theta for _ in range(m_size)]
+    units = [int(r == c) for r in range(m_size) for c in range(m_size)]
+    for holding in _encode(con, p.gf, units).values():
+        for idx, val in holding:
+            rows[(idx - 1) // theta][(idx - 1) % theta] = val
+    return Matrix(m_size, theta, rows)
+
+
+def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
+    """p's construction and instance count, once the nodes are known to it."""
+    con = construction(p.kind, p.topology, p.gf, p.params)
+    for node in nodes:
+        if node not in con.layout:
+            raise ParamError(f"{node} is not a node of the topology {p.topology}")
+    s = p.instances
+    if type(s) is not int or s < 1:
+        raise FormatError(f"instance count s={s!r} is not a positive integer")
+    return con, s
+
+
+@lru_cache(maxsize=1024)
+def _indices(idxs: tuple[int, ...], s: int, theta: int) -> tuple[int, ...]:
+    """The global symbol indices of a node holding idxs in each of s instances."""
+    return tuple(base + i for base in range(0, s * theta, theta) for i in idxs)
+
+
+def _content(p: Placement, con: Construction, nodes: list[NodeId],
+             s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per node, its layout and its stored values, instance-major in layout
+    order, once its holding is checked to be exactly those symbols, in the field."""
+    theta = con.params["theta"]
+    out = []
+    for node in nodes:
+        idxs, holding = con.layout[node], p.holdings.get(node)
+        ids, vals = zip(*holding) if holding else ((), ())
+        if ids != _indices(idxs, s, theta):
+            raise FormatError(f"{node} does not hold exactly its {len(idxs)} symbols "
+                              f"for each of s={s} instances")
+        if min(vals) < 0 or max(vals) >= p.gf.order:
+            raise FormatError(f"{node} holds a value outside GF(2^{p.gf.m})")
+        out.append((idxs, vals))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _plan(con: Construction, failed: NodeId) -> RepairPlan:
+    return con.repair_plan(failed)
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    if p.kind in ("mbr0", "mbr"):
-        return mbr.repair_mbr(p, failed)
-    if p.kind == "msr0-div":
-        return msr.repair_msr_div(p, failed)
-    if p.kind == "msr0-nondiv":
-        return msr.repair_msr_nondiv(p, failed)
-    if p.kind == "msr-stacked":
-        return msr.repair_msr_stacked(p, failed)
-    if p.kind == "msr-wrapped":
-        return msr.repair_msr_wrapped(p, failed)
-    raise ParamError(f"unknown code kind {p.kind!r}")
+    """Run the repair plan for `failed` on every instance: the transcript of
+    what each of the n-1 helpers sent, and the regenerated holding."""
+    con, s = _engine(p, [failed])
+    plan = _plan(con, failed)
+    theta, alpha, mul = con.params["theta"], con.params["alpha"], p.gf.mul
+    senders = [h for h, sends in plan.sends.items() if sends]
+    contributions: dict[NodeId, list[tuple[int | None, int]]] = {h: [] for h in plan.sends}
+    for helper, (idxs, vals) in zip(senders, _content(p, con, senders, s)):
+        where = {i: r for r, i in enumerate(idxs)}
+        columns = []  # per send and copy: the (index, value) it sends in each instance
+        for send in plan.sends[helper]:
+            if isinstance(send, int):
+                columns.append(list(zip(range(send, send + s * theta, theta),
+                                        vals[where[send]::alpha])))
+                continue
+            col = [0] * s
+            for a, c in enumerate(send[0]):
+                col = [x ^ mul(c, v) for x, v in zip(col, vals[a::alpha])]
+            columns += [[(None, v) for v in col]] * send[1]
+        contributions[helper] = [x for row in zip(*columns) for x in row]
+    transcript = RepairTranscript(failed, contributions, s * con.params["beta_i"],
+                                  s * con.params["beta_c"],
+                                  sum(len(v) for v in contributions.values()))
+    return transcript, regenerate(p, transcript)
 
 
 def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
-    """Rebuild the failed node's holdings from transcript contents alone."""
-    if p.kind in ("mbr0", "mbr"):
-        return mbr.regenerate_from_transcript(p, transcript)
-    if p.kind == "msr0-div":
-        return msr.regenerate_msr_div(p, transcript)
-    if p.kind == "msr0-nondiv":
-        return msr.regenerate_msr_nondiv(p, transcript)
-    if p.kind == "msr-stacked":
-        return msr.regenerate_msr_stacked(p, transcript)
-    if p.kind == "msr-wrapped":
-        return msr.regenerate_msr_wrapped(p, transcript)
-    raise ParamError(f"unknown code kind {p.kind!r}")
+    """Rebuild the failed node's holding from transcript contents alone."""
+    con, s = _engine(p, [transcript.failed])
+    plan, theta, gf = _plan(con, transcript.failed), con.params["theta"], p.gf
+    received = []  # per entry of the received vector: its value in each instance
+    for helper, sends in plan.sends.items():
+        if not sends:
+            continue
+        # where in one instance's share of the helper's symbols each send starts
+        firsts, width = [], 0
+        for send in sends:
+            firsts.append(width)
+            width += 1 if isinstance(send, int) else send[1]
+        syms = transcript.contributions.get(helper, [])
+        if len(syms) != s * width:
+            raise FormatError(f"{helper} sent {len(syms)} symbols, the repair plan "
+                              f"has {s * width}")
+        _, vals = zip(*syms)
+        received += [vals[f::width] for f in firsts]
+    columns = []
+    for i, (lost, row) in zip(con.layout[transcript.failed], plan.decode):
+        acc = [0] * s
+        for r, c in row:
+            acc = (list(map(xor, acc, received[r])) if c == 1 else
+                   [a ^ gf.mul(c, x) for a, x in zip(acc, received[r])])
+        columns.append(list(zip(range(i, i + s * theta, theta), map(gf.div, acc, repeat(lost)))))
+    return [x for row in zip(*columns) for x in row]
 
 
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
-    if p.kind in ("mbr0", "mbr"):
-        return mbr.reconstruct_mbr(p, nodes)
-    if p.kind == "msr0-div":
-        return msr.reconstruct_msr_div(p, nodes)
-    if p.kind == "msr0-nondiv":
-        return msr.reconstruct_msr_nondiv(p, nodes)
-    if p.kind == "msr-stacked":
-        return msr.reconstruct_msr_stacked(p, nodes)
-    if p.kind == "msr-wrapped":
-        return msr.reconstruct_msr_wrapped(p, nodes)
-    raise ParamError(f"unknown code kind {p.kind!r}")
+    """Decode the source from >= k distinct nodes, component by component:
+    Reed-Solomon components by rs_decode, the others by elimination."""
+    unique = list(dict.fromkeys(nodes))
+    con, s = _engine(p, unique)
+    if len(unique) < p.topology.k:
+        raise InsufficientDataError(
+            f"{len(unique)} distinct nodes contacted, need k={p.topology.k}")
+    alpha = con.params["alpha"]
+    held: dict[int, list[tuple[tuple[int, ...], int]]] = {}  # symbol -> (values, position)
+    for idxs, vals in _content(p, con, unique, s):
+        for r, i in enumerate(idxs):
+            held.setdefault(i, []).append((vals, r))
+    decoders = []  # every copy goes in: redundant ones are checked by the decode
+    for comp in con.components:
+        if comp.decodes:
+            shares = [(c, v, r) for c, i in enumerate(comp.idx) for v, r in held.get(i, ())]
+            system = None if comp.rs else Matrix(
+                len(shares), comp.generator.rows, [comp.generator.column(c) for c, _, _ in shares])
+            decoders.append((comp, shares, system))
+    out: list[int] = []
+    for off in range(0, s * alpha, alpha):
+        msg = [0] * con.params["M"]
+        for comp, shares, system in decoders:
+            if system is None:
+                msg[comp.msg] = rs_decode(comp.rs, [(c + 1, v[off + r]) for c, v, r in shares])
+                continue
+            res = mat_solve(p.gf, system, [v[off + r] for _, v, r in shares])
+            if res.solution is None:
+                raise InconsistentSharesError("contacted symbols are inconsistent")
+            if res.underdetermined:
+                raise InsufficientDataError("contacted symbols do not pin the source")
+            msg[comp.msg] = res.solution
+        out += msg
+    return out
 
 
 def parse_config(obj: dict) -> dict[str, Any]:

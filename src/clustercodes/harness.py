@@ -16,7 +16,7 @@ from typing import Any, Callable
 from . import codes
 from .capacity import capacity_eval, derive, mbr_filesize_pos, mbr_filesize_zero
 from .errors import ClusterCodeError
-from .msr import nondiv_cluster_coeffs
+from .msr import cluster_coeffs
 from .placement import Placement, RepairTranscript
 from .topology import (ClusterTopology, NodeId, contact_sets, contact_vectors,
                        node_pair, nodes_realizing, omega_star)
@@ -215,7 +215,7 @@ def verify_structure(p: Placement) -> CheckResult:
         return CheckResult(name, True)
     if p.kind == "msr0-nondiv":
         for l in range(1, top.L + 1):
-            coeffs = nondiv_cluster_coeffs(p, l)
+            coeffs = cluster_coeffs(p.params["parity_weights"], top.n_I, l)
             for inst in range(s):
                 acc = 0
                 for node in top.cluster(l):

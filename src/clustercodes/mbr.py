@@ -8,28 +8,25 @@ Two constructions, selected by the bandwidth ratio:
     by K_n plus (chi-1)*C(n_I,2)*L local symbols laid out per cluster; cluster
     mates share chi symbols, cross-cluster pairs share one.
 
-A source longer than one file unit builds s parallel instances; instance i
-occupies global indices (i*theta, (i+1)*theta].
+Both are one (theta, M) Reed-Solomon codeword per instance; every symbol is
+stored on exactly two nodes, so a repair copies each lost symbol from the
+other node that holds it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .capacity import (mbr_filesize_pos, mbr_filesize_zero, mbr_theta_pos,
-                       mbr_theta_zero)
-from .errors import InconsistentSharesError, InsufficientDataError, ParamError
+from .capacity import mbr_theta_pos
+from .construction import Component, Construction, stored_plan
+from .errors import ParamError
 from .galois import GF
-from .mdscodec import RsCode, rs_create, rs_decode, rs_encode
-from .placement import Holding, Placement, RepairTranscript
+from .mdscodec import rs_create
 from .topology import ClusterTopology, NodeId, incidence_row
 
 
 def mbr_zero_layout(top: ClusterTopology) -> dict[NodeId, list[int]]:
     """N(l,j) holds c_{(l-1)*C(n_I,2)+i} exactly when row j of V_{n_I} has a 1 at i."""
-    if top.n_I < 2:
-        raise ParamError(f"repair-by-transfer needs n_I >= 2, got n_I={top.n_I}")
     delta = comb(top.n_I, 2)
     return {
         NodeId(l, j): [(l - 1) * delta + i for i in incidence_row(top.n_I, j)]
@@ -40,19 +37,13 @@ def mbr_zero_layout(top: ClusterTopology) -> dict[NodeId, list[int]]:
 
 def mbr_pos_layout(top: ClusterTopology, chi: int) -> dict[NodeId, list[int]]:
     """Global symbols via V_n row n_I*(l-1)+j, locals via V_{n_I} at chi-1 layers."""
-    if top.n_I < 2:
-        raise ParamError(f"repair-by-transfer needs n_I >= 2, got n_I={top.n_I}")
-    if chi < 1:
-        raise ParamError(f"chi must be a positive integer, got {chi}")
-    small = comb(top.n_I, 2)
-    base = comb(top.n, 2)
     layout = {}
     for l in range(1, top.L + 1):
         for j in range(1, top.n_I + 1):
             idxs = list(incidence_row(top.n, top.n_I * (l - 1) + j))
             for t in range(1, chi):
-                offset = base + (chi * l - chi - l + t) * small
-                idxs += [offset + i2 for i2 in incidence_row(top.n_I, j)]
+                idxs += [tuple_to_local(l, t, i2, top, chi)
+                         for i2 in incidence_row(top.n_I, j)]
             layout[NodeId(l, j)] = sorted(idxs)
     return layout
 
@@ -81,141 +72,19 @@ def tuple_to_local(l: int, t: int, i2: int, top: ClusterTopology, chi: int) -> i
     return comb(top.n, 2) + (chi * l - chi - l + t) * comb(top.n_I, 2) + i2
 
 
-def _instances(source_len: int, file_size: int) -> int:
-    if file_size <= 0:
-        raise ParamError("degenerate code: file size is zero")
-    if source_len == 0 or source_len % file_size != 0:
-        raise ParamError(
-            f"source length {source_len} is not a positive multiple of M={file_size}"
-        )
-    return source_len // file_size
+def transfer(top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """mbr0, or mbr when params carry chi: one (theta, M) codeword per instance."""
+    theta, m_size = params["theta"], params["M"]
+    code = rs_create(theta, m_size, gf)
+    layout = (mbr_pos_layout(top, params["chi"]) if params.get("chi")
+              else mbr_zero_layout(top))
 
+    def plan(failed: NodeId):
+        mine = set(layout[failed])
+        sends = {h: [i for i in idxs if i in mine]
+                 for h, idxs in layout.items() if h != failed}
+        return stored_plan(sends, [(1, [(i, 1)]) for i in layout[failed]])
 
-def _assemble(kind: str, top: ClusterTopology, gf: GF, params: dict,
-              layout: dict[NodeId, list[int]], code: RsCode,
-              source: list[int]) -> Placement:
-    theta, file_size, s = params["theta"], params["M"], params["s"]
-    holdings: dict[NodeId, Holding] = {node: [] for node in layout}
-    for inst in range(s):
-        codeword = rs_encode(code, source[inst * file_size:(inst + 1) * file_size])
-        for node, idxs in layout.items():
-            holdings[node] += [(inst * theta + i, codeword[i - 1]) for i in idxs]
-    for node in holdings:
-        holdings[node].sort()
-    p = Placement(kind, top, gf, params, holdings)
-    p.codec = code
-    return p
-
-
-def build_mbr_zero(top: ClusterTopology, source: list[int], gf: GF) -> Placement:
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
-    file_size = mbr_filesize_zero(top)
-    theta = mbr_theta_zero(top)
-    s = _instances(len(source), file_size)
-    params = {"alpha": top.n_I - 1, "beta_i": 1, "beta_c": 0, "gamma": top.n_I - 1,
-              "M": file_size, "theta": theta, "epsilon": "0", "s": s}
-    return _assemble("mbr0", top, gf, params, mbr_zero_layout(top),
-                     rs_create(theta, file_size, gf), source)
-
-
-def build_mbr_pos(top: ClusterTopology, chi: int, source: list[int], gf: GF) -> Placement:
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
-    if chi != int(chi) or chi < 1:
-        raise ParamError(f"chi = 1/epsilon must be a positive integer, got {chi}")
-    chi = int(chi)
-    file_size = mbr_filesize_pos(top, chi)
-    theta = mbr_theta_pos(top, chi)
-    alpha = (top.n_I - 1) * chi + (top.n - top.n_I)
-    s = _instances(len(source), file_size)
-    params = {"alpha": alpha, "beta_i": chi, "beta_c": 1, "gamma": alpha,
-              "M": file_size, "theta": theta, "chi": chi,
-              "epsilon": str(Fraction(1, chi)), "s": s}
-    return _assemble("mbr", top, gf, params, mbr_pos_layout(top, chi),
-                     rs_create(theta, file_size, gf), source)
-
-
-def mbr_layout(p: Placement) -> dict[NodeId, list[int]]:
-    if p.kind == "mbr0":
-        return mbr_zero_layout(p.topology)
-    return mbr_pos_layout(p.topology, p.params["chi"])
-
-
-def mbr_codec(p: Placement) -> RsCode:
-    if p.codec is None:
-        p.codec = rs_create(p.params["theta"], p.params["M"], p.gf)
-    return p.codec
-
-
-def repair_mbr(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    """Repair by transfer: each helper sends the symbols its layout shares with
-    the failed node's layout; the replacement is the union of what it received.
-    """
-    layout = mbr_layout(p)
-    if failed not in layout:
-        raise ParamError(f"{failed} not in topology")
-    theta, s = p.params["theta"], p.instances
-    failed_idxs = set(layout[failed])
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {}
-    intra_len = cross_len = 0
-    received: list[tuple[int, int]] = []
-    for helper in p.topology.nodes():
-        if helper == failed:
-            continue
-        shared = sorted(failed_idxs & set(layout[helper]))
-        held = dict(p.holdings[helper])
-        syms = sorted((inst * theta + b, held[inst * theta + b])
-                      for inst in range(s) for b in shared)
-        contributions[helper] = list(syms)
-        received += syms
-        if helper.l == failed.l:
-            intra_len = len(syms)
-        else:
-            cross_len = len(syms)
-    regenerated = sorted(set(received))
-    transcript = RepairTranscript(failed, contributions, intra_len, cross_len,
-                                  sum(len(v) for v in contributions.values()))
-    return transcript, regenerated
-
-
-def regenerate_from_transcript(p: Placement, transcript: RepairTranscript) -> Holding:
-    """Rebuild the failed node from transcript contents alone (MBR codes)."""
-    received = sorted({(idx, val) for syms in transcript.contributions.values()
-                       for idx, val in syms})
-    return received
-
-
-def _gather(p: Placement, nodes: list[NodeId]) -> dict[int, int]:
-    unique = []
-    for node in nodes:
-        if node not in p.holdings:
-            raise ParamError(f"{node} not in placement")
-        if node not in unique:
-            unique.append(node)
-    if len(unique) < p.topology.k:
-        raise InsufficientDataError(
-            f"{len(unique)} distinct nodes contacted, need k={p.topology.k}"
-        )
-    gathered: dict[int, int] = {}
-    for node in unique:
-        for idx, val in p.holdings[node]:
-            if gathered.setdefault(idx, val) != val:
-                raise InconsistentSharesError(f"conflicting copies of symbol {idx}")
-    return gathered
-
-
-def reconstruct_with_codec(p: Placement, nodes: list[NodeId], code: RsCode) -> list[int]:
-    gathered = _gather(p, nodes)
-    theta = p.params["theta"]
-    out: list[int] = []
-    for inst in range(p.instances):
-        shares = [(idx - inst * theta, val) for idx, val in gathered.items()
-                  if inst * theta < idx <= (inst + 1) * theta]
-        out += rs_decode(code, shares)
-    return out
-
-
-def reconstruct_mbr(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """Decode the source from the distinct symbols held by >= k contacted nodes."""
-    return reconstruct_with_codec(p, nodes, mbr_codec(p))
+    whole = Component(code.generator, slice(0, m_size), tuple(range(1, theta + 1)), code)
+    return Construction(params, {node: tuple(idxs) for node, idxs in layout.items()},
+                        (whole,), plan)

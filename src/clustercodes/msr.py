@@ -9,53 +9,27 @@ Four constructions, selected by bandwidth ratio and divisibility:
     one symbol per node.
   * msr-stacked (eps = 1/(n-k), n = kL): n-k independent (n,k) codewords laid
     out round-robin, one coordinate of each per node.
-  * msr-wrapped (1/(n-k) <= eps <= 1, 1/eps integer): any base code meeting
-    BaseMsrContract placed by flat node index; intra-cluster helpers repeat
-    their repair symbol 1/eps times. Ships with the product-matrix instance.
+  * msr-wrapped (1/(n-k) <= eps <= 1, 1/eps integer): the product-matrix code
+    placed by flat node index; intra-cluster helpers repeat their repair
+    symbol 1/eps times.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from .capacity import derive
-from .errors import (InconsistentSharesError, InsufficientDataError, ParamError,
-                     RegimeError)
+from .construction import Component, Construction, RepairPlan, stored_plan
+from .errors import ParamError
 from .galois import GF
-from .mdscodec import (Matrix, generator_min_distance, mat_rank, mat_solve,
-                       rs_create, rs_decode, rs_encode)
-from .placement import Holding, Placement, RepairTranscript
+from .mdscodec import (Matrix, ProductMatrixMsr, generator_min_distance, mat_inv,
+                       mat_rank, mat_solve, rs_create, vec_mat)
 from .topology import ClusterTopology, NodeId, contact_sets, node_flat, node_pair
 
 
-def _check_common(top: ClusterTopology) -> None:
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
-    if top.n_I < 2:
-        raise ParamError(f"need n_I >= 2, got n_I={top.n_I}")
-
-
-def _instances(source_len: int, file_size: int) -> int:
-    if source_len == 0 or source_len % file_size != 0:
-        raise ParamError(
-            f"source length {source_len} is not a positive multiple of M={file_size}"
-        )
-    return source_len // file_size
-
-
-def _distinct_nodes(p: Placement, nodes: list[NodeId]) -> list[NodeId]:
-    unique: list[NodeId] = []
-    for node in nodes:
-        if node not in p.holdings:
-            raise ParamError(f"{node} not in placement")
-        if node not in unique:
-            unique.append(node)
-    if len(unique) < p.topology.k:
-        raise InsufficientDataError(
-            f"{len(unique)} distinct nodes contacted, need k={p.topology.k}"
-        )
-    return unique
+def _whole_sends(layout: dict, failed: NodeId) -> dict:
+    """Cluster mates send everything they store, remote nodes nothing."""
+    return {h: list(layout[h]) if h.l == failed.l else [] for h in layout if h != failed}
 
 
 # ---------------------------------------------------------------- divisible
@@ -71,578 +45,164 @@ def rot_node_j(i: int, t: int, n_i: int) -> int:
     return (i0 - t) % n_i + 1
 
 
-def _div_idx(i: int, t: int, n_i: int) -> int:
-    return (i - 1) * n_i + t
+def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """Slot t < n_I of group i is coordinate i of component t, symbol
+    (i-1)*n_I + t; slot n_I is the sum of the others, which is coordinate i
+    of the code of the summed message slices."""
+    n, k, n_i, m_size = top.n, top.k, top.n_I, params["M"]
+    code = rs_create(n, k, gf)
+    layout = {node: tuple(sorted((rot_group(node.l, node.j, t, n_i) - 1) * n_i + t
+                                 for t in range(1, n_i + 1)))
+              for node in top.nodes()}
+    slots = [Component(code.generator, slice((t - 1) * k, t * k),
+                       tuple((i - 1) * n_i + t for i in range(1, n + 1)), code)
+             for t in range(1, n_i)]
+    summed = Matrix(m_size, n, [row for _ in range(n_i - 1) for row in code.generator.data])
+    parity = Component(summed, slice(0, m_size),
+                       tuple(i * n_i for i in range(1, n + 1)), decodes=False)
 
+    def plan(failed: NodeId) -> RepairPlan:
+        # each lost element is the sum of the rest of its group
+        rows = [(1, [(i - 1 - (i - 1) % n_i + t2, 1) for t2 in range(1, n_i + 1)
+                     if t2 != (i - 1) % n_i + 1]) for i in layout[failed]]
+        return stored_plan(_whole_sends(layout, failed), rows)
 
-def build_msr_div(top: ClusterTopology, source: list[int], gf: GF) -> Placement:
-    _check_common(top)
-    if top.k % top.n_I != 0:
-        raise RegimeError(
-            f"n_I={top.n_I} does not divide k={top.k}; use the non-divisible "
-            f"construction (msr0-nondiv)"
-        )
-    n, n_i = top.n, top.n_I
-    file_size = top.k * (n_i - 1)
-    theta = n * n_i
-    s = _instances(len(source), file_size)
-    code = rs_create(n, top.k, gf)
-    holdings: dict[NodeId, Holding] = {node: [] for node in top.nodes()}
-    for inst in range(s):
-        slots = [rs_encode(code, source[inst * file_size + (t - 1) * top.k:
-                                        inst * file_size + t * top.k])
-                 for t in range(1, n_i)]
-        values = {}
-        for i in range(1, n + 1):
-            parity = 0
-            for t in range(1, n_i):
-                values[(i, t)] = slots[t - 1][i - 1]
-                parity ^= slots[t - 1][i - 1]
-            values[(i, n_i)] = parity
-        for node in top.nodes():
-            for t in range(1, n_i + 1):
-                i = rot_group(node.l, node.j, t, n_i)
-                holdings[node].append((inst * theta + _div_idx(i, t, n_i),
-                                       values[(i, t)]))
-    for node in holdings:
-        holdings[node].sort()
-    params = {"alpha": n_i, "beta_i": n_i, "beta_c": 0, "gamma": (n_i - 1) * n_i,
-              "M": file_size, "theta": theta, "epsilon": "0", "s": s}
-    p = Placement("msr0-div", top, gf, params, holdings)
-    p.codec = code
-    return p
-
-
-def repair_msr_div(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    """Cluster mates send their whole content; each of the failed node's groups
-    is then one parity-decode (XOR of the group's other n_I-1 elements)."""
-    top = p.topology
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {}
-    for helper in top.nodes():
-        if helper == failed:
-            continue
-        contributions[helper] = (list(p.holdings[helper])
-                                 if helper.l == failed.l else [])
-    transcript = RepairTranscript(
-        failed, contributions,
-        beta_i=p.instances * p.params["alpha"], beta_c=0,
-        gamma=sum(len(v) for v in contributions.values()))
-    return transcript, regenerate_msr_div(p, transcript)
-
-
-def regenerate_msr_div(p: Placement, transcript: RepairTranscript) -> Holding:
-    top = p.topology
-    n_i, theta = top.n_I, p.params["theta"]
-    failed = transcript.failed
-    received: dict[int, int] = {}
-    for syms in transcript.contributions.values():
-        for idx, val in syms:
-            received[idx] = val
-    out: Holding = []
-    for inst in range(p.instances):
-        for t in range(1, n_i + 1):
-            i = rot_group(failed.l, failed.j, t, n_i)
-            val = 0
-            for t2 in range(1, n_i + 1):
-                if t2 != t:
-                    val ^= received[inst * theta + _div_idx(i, t2, n_i)]
-            out.append((inst * theta + _div_idx(i, t, n_i), val))
-    return sorted(out)
-
-
-def reconstruct_msr_div(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """For each slot t, the contacted nodes expose distinct coordinates of the
-    t-th component code; decode each and concatenate the messages."""
-    top = p.topology
-    nodes = _distinct_nodes(p, nodes)
-    n_i, theta = top.n_I, p.params["theta"]
-    if p.codec is None:
-        p.codec = rs_create(top.n, top.k, p.gf)
-    out: list[int] = []
-    for inst in range(p.instances):
-        for t in range(1, n_i):
-            shares = []
-            for node in nodes:
-                held = dict(p.holdings[node])
-                i = rot_group(node.l, node.j, t, n_i)
-                shares.append((i, held[inst * theta + _div_idx(i, t, n_i)]))
-            out += rs_decode(p.codec, shares)
-    return out
+    return Construction(params, layout, (*slots, parity), plan)
 
 
 # ------------------------------------------------------------ non-divisible
 
 def _nondiv_dims(top: ClusterTopology) -> tuple[int, int]:
-    d = derive(top)
-    return top.L * (top.n_I - 1), top.k - d.q
+    return top.L * (top.n_I - 1), top.k - derive(top).q
 
 
 def _nondiv_generator(top: ClusterTopology, gf: GF, points: tuple[int, ...],
-                      weights: tuple[int, ...]) -> tuple:
+                      weights: tuple[int, ...]) -> Matrix:
     """Overall generator: outer-code columns plus one weighted-parity column
     per cluster. weights holds the L*(n_I-1) parity coefficients, all nonzero,
     so each group forms an (n_I, n_I-1) MDS code."""
     big_t, k_dim = _nondiv_dims(top)
-    outer = rs_create(big_t, k_dim, gf, systematic=True, points=points)
+    outer = rs_create(big_t, k_dim, gf, systematic=True, points=points).generator
+    g = top.n_I - 1
     cols: list[list[int]] = []
-    for l in range(1, top.L + 1):
-        group = [outer.generator.column((l - 1) * (top.n_I - 1) + j - 1)
-                 for j in range(1, top.n_I)]
-        parity = [0] * k_dim
-        for j, col in enumerate(group):
-            w = weights[(l - 1) * (top.n_I - 1) + j]
-            parity = [a ^ gf.mul(w, b) for a, b in zip(parity, col)]
-        cols += group + [parity]
-    gen = Matrix(k_dim, top.n, [[cols[u][i] for u in range(top.n)]
-                                for i in range(k_dim)])
-    return outer, gen
+    for l in range(top.L):
+        group = [outer.column(l * g + j) for j in range(g)]
+        cols += group + [vec_mat(gf, list(weights[l * g:(l + 1) * g]), Matrix(g, k_dim, group))]
+    return Matrix(k_dim, top.n, [list(row) for row in zip(*cols)])
 
 
-def _nondiv_candidates(gf: GF, big_t: int, weight_count: int, draws: int = 2048):
+def _nondiv_candidates(gf: GF, big_t: int, draws: int = 2048):
     """Deterministic (points, weights) sequence: consecutive windows with unit
     parity weights first, then seeded random draws of both. Windows with unit
     weights can fail structurally: in characteristic 2 an even-size group sums
     its constant coordinates to zero, and a cross-cluster pair summing to a
     cluster's point sum makes a k-subset singular for every window."""
     size = gf.order - 1
-    ones = (1,) * weight_count
+    ones = (1,) * big_t
     for shift in range(size):
         yield tuple((shift + t) % size + 1 for t in range(big_t)), ones
     for attempt in range(draws):
         rng = Random(attempt)
         yield (tuple(rng.sample(range(1, gf.order), big_t)),
-               tuple(rng.randrange(1, gf.order) for _ in range(weight_count)))
+               tuple(rng.randrange(1, gf.order) for _ in range(big_t)))
 
 
-def build_msr_nondiv(top: ClusterTopology, source: list[int], gf: GF) -> Placement:
-    _check_common(top)
-    if top.k % top.n_I == 0:
-        raise RegimeError(
-            f"n_I={top.n_I} divides k={top.k}; use the divisible construction "
-            f"(msr0-div)"
-        )
+def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
+    """The first candidate points and weights under which every contact set
+    has full rank, and the code's minimum distance where it is cheap."""
     big_t, k_dim = _nondiv_dims(top)
-    s = _instances(len(source), k_dim)
-    for points, weights in _nondiv_candidates(gf, big_t, big_t):
-        outer, gen = _nondiv_generator(top, gf, points, weights)
+    for points, weights in _nondiv_candidates(gf, big_t):
+        gen = _nondiv_generator(top, gf, points, weights)
         if all(mat_rank(gf, gen.take_columns(list(sub))) == k_dim
                for sub in contact_sets(top)):
             break
     else:
         raise ParamError("no evaluation-point choice yields the full-distance code")
-    holdings: dict[NodeId, Holding] = {node: [] for node in top.nodes()}
-    for inst in range(s):
-        chunk = source[inst * k_dim:(inst + 1) * k_dim]
-        for node in top.nodes():
-            u = node_flat(node, top)
-            val = 0
-            for i in range(k_dim):
-                val ^= gf.mul(chunk[i], gen.data[i][u - 1])
-            holdings[node].append((inst * top.n + u, val))
-    params = {"alpha": 1, "beta_i": 1, "beta_c": 0, "gamma": top.n_I - 1,
-              "M": k_dim, "theta": top.n, "epsilon": "0", "s": s,
-              "eval_points": list(points), "parity_weights": list(weights)}
+    found = {"eval_points": list(points), "parity_weights": list(weights)}
     if top.n <= 12:
-        params["d"] = generator_min_distance(gf, gen)
-    p = Placement("msr0-nondiv", top, gf, params, holdings)
-    p.codec = (outer, gen)
-    return p
+        found["d"] = generator_min_distance(gf, gen)
+    return found
 
 
-def nondiv_codec(p: Placement) -> tuple:
-    if p.codec is None:
-        p.codec = _nondiv_generator(p.topology, p.gf,
-                                    tuple(p.params["eval_points"]),
-                                    tuple(p.params["parity_weights"]))
-    return p.codec
-
-
-def nondiv_cluster_coeffs(p: Placement, l: int) -> list[int]:
+def cluster_coeffs(weights: list[int], n_i: int, l: int) -> list[int]:
     """Coefficients c with sum_j c_j * y(N(l,j)) = 0: the cluster's parity
     relation (weights on the data nodes, 1 on the parity node)."""
-    n_i = p.topology.n_I
-    weights = p.params["parity_weights"]
     return [weights[(l - 1) * (n_i - 1) + j - 1] for j in range(1, n_i)] + [1]
 
 
-def repair_msr_nondiv(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    """The failed node's symbol is decoded from its cluster's parity relation."""
-    top = p.topology
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {}
-    for helper in top.nodes():
-        if helper == failed:
-            continue
-        contributions[helper] = (list(p.holdings[helper])
-                                 if helper.l == failed.l else [])
-    transcript = RepairTranscript(
-        failed, contributions, beta_i=p.instances, beta_c=0,
-        gamma=sum(len(v) for v in contributions.values()))
-    return transcript, regenerate_msr_nondiv(p, transcript)
+def nondiv(top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """Node u stores coordinate u of the overall generator: one symbol per node."""
+    gen = _nondiv_generator(top, gf, params["eval_points"], params["parity_weights"])
+    layout = {node: (node_flat(node, top),) for node in top.nodes()}
 
+    def plan(failed: NodeId) -> RepairPlan:
+        # the lost symbol is decoded from its cluster's parity relation
+        coeffs = cluster_coeffs(params["parity_weights"], top.n_I, failed.l)
+        row = [(node_flat(h, top), coeffs[h.j - 1]) for h in top.cluster(failed.l)
+               if h != failed]
+        return stored_plan(_whole_sends(layout, failed), [(coeffs[failed.j - 1], row)])
 
-def regenerate_msr_nondiv(p: Placement, transcript: RepairTranscript) -> Holding:
-    top = p.topology
-    gf = p.gf
-    failed = transcript.failed
-    coeffs = nondiv_cluster_coeffs(p, failed.l)
-    received: dict[int, int] = {}
-    for syms in transcript.contributions.values():
-        for idx, v in syms:
-            received[idx] = v
-    out: Holding = []
-    for inst in range(p.instances):
-        acc = 0
-        for j in range(1, top.n_I + 1):
-            if j == failed.j:
-                continue
-            u = node_flat(NodeId(failed.l, j), top)
-            acc ^= gf.mul(coeffs[j - 1], received[inst * top.n + u])
-        val = gf.div(acc, coeffs[failed.j - 1])
-        out.append((inst * top.n + node_flat(failed, top), val))
-    return sorted(out)
-
-
-def reconstruct_msr_nondiv(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """Solve the linear system the contacted symbols impose on the source."""
-    top = p.topology
-    nodes = _distinct_nodes(p, nodes)
-    _, gen = nondiv_codec(p)
-    flats = [node_flat(node, top) for node in nodes]
-    system = Matrix(len(flats), gen.rows,
-                    [[gen.data[i][u - 1] for i in range(gen.rows)] for u in flats])
-    out: list[int] = []
-    for inst in range(p.instances):
-        rhs = []
-        for node in nodes:
-            held = dict(p.holdings[node])
-            rhs.append(held[inst * top.n + node_flat(node, top)])
-        res = mat_solve(p.gf, system, rhs)
-        if res.solution is None:
-            raise InconsistentSharesError("contacted symbols are inconsistent")
-        if res.underdetermined:
-            raise InsufficientDataError("contacted symbols do not pin the source")
-        out += res.solution
-    return out
+    whole = Component(gen, slice(0, gen.rows), tuple(range(1, top.n + 1)))
+    return Construction(params, layout, (whole,), plan)
 
 
 # ----------------------------------------------------------------- stacked
 
-def build_msr_stacked(top: ClusterTopology, source: list[int], gf: GF) -> Placement:
-    """n-k independent (n,k) codewords; coded symbol c_u goes to node
-    N_{((u-1) mod n) + 1}, so node t holds coordinate t of every codeword."""
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
-    if top.n != top.k * top.L:
-        raise RegimeError(
-            f"stacked construction needs n = k*L, got n={top.n}, k*L={top.k * top.L}"
-        )
+def stacked(top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """n-k independent (n,k) codewords; coordinate u of codeword t is symbol
+    n*(t-1) + u on the node of flat index u."""
     n, k = top.n, top.k
-    nk = n - k
-    file_size = k * nk
-    theta = n * nk
-    s = _instances(len(source), file_size)
     code = rs_create(n, k, gf)
-    holdings: dict[NodeId, Holding] = {node: [] for node in top.nodes()}
-    for inst in range(s):
-        for i in range(1, nk + 1):
-            codeword = rs_encode(code, source[inst * file_size + (i - 1) * k:
-                                              inst * file_size + i * k])
-            for u, val in enumerate(codeword, start=1):
-                holdings[node_pair(u, top)].append((inst * theta + n * (i - 1) + u, val))
-    for node in holdings:
-        holdings[node].sort()
-    params = {"alpha": nk, "beta_i": nk, "beta_c": 1, "gamma": k * nk,
-              "M": file_size, "theta": theta,
-              "epsilon": str(Fraction(1, nk)), "s": s}
-    p = Placement("msr-stacked", top, gf, params, holdings)
-    p.codec = code
-    return p
+    gen = code.generator
+    layout = {node: tuple(n * t + node_flat(node, top) for t in range(n - k))
+              for node in top.nodes()}
 
+    def plan(failed: NodeId) -> RepairPlan:
+        # cluster mates send everything; the t-th remote helper in flat order
+        # sends its coordinate of codeword t, completing k coordinates of each
+        f = node_flat(failed, top)
+        intra = [node_flat(h, top) for h in top.cluster(failed.l) if h != failed]
+        cross = [node_flat(h, top) for h in top.nodes() if h.l != failed.l]
+        sends = _whole_sends(layout, failed)
+        rows = []
+        for t, u in enumerate(cross):
+            sends[node_pair(u, top)] = [n * t + u]
+            coords = intra + [u]
+            x = mat_solve(gf, gen.take_columns([c - 1 for c in coords]),
+                          gen.column(f - 1)).solution
+            rows.append((1, [(n * t + c, xc) for c, xc in zip(coords, x)]))
+        return stored_plan(sends, rows)
 
-def stacked_codec(p: Placement):
-    if p.codec is None:
-        p.codec = rs_create(p.topology.n, p.topology.k, p.gf)
-    return p.codec
-
-
-def repair_msr_stacked(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    """Cluster mates send everything; the t-th cross-cluster helper in flat
-    order sends its coordinate of component code t, completing k coordinates
-    of every component."""
-    top = p.topology
-    n, nk = top.n, top.n - top.k
-    theta, s = p.params["theta"], p.instances
-    cross = sorted((node for node in top.nodes() if node.l != failed.l),
-                   key=lambda node: node_flat(node, top))
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {}
-    for helper in top.nodes():
-        if helper == failed:
-            continue
-        if helper.l == failed.l:
-            contributions[helper] = list(p.holdings[helper])
-        else:
-            t = cross.index(helper) + 1
-            u = node_flat(helper, top)
-            held = dict(p.holdings[helper])
-            contributions[helper] = [
-                (inst * theta + n * (t - 1) + u, held[inst * theta + n * (t - 1) + u])
-                for inst in range(s)
-            ]
-    transcript = RepairTranscript(
-        failed, contributions, beta_i=s * nk, beta_c=s * 1,
-        gamma=sum(len(v) for v in contributions.values()))
-    return transcript, regenerate_msr_stacked(p, transcript)
-
-
-def regenerate_msr_stacked(p: Placement, transcript: RepairTranscript) -> Holding:
-    top = p.topology
-    n, k, nk = top.n, top.k, top.n - top.k
-    theta = p.params["theta"]
-    code = stacked_codec(p)
-    f = node_flat(transcript.failed, top)
-    received: dict[int, int] = {}
-    for syms in transcript.contributions.values():
-        for idx, val in syms:
-            received[idx] = val
-    out: Holding = []
-    for inst in range(p.instances):
-        for t in range(1, nk + 1):
-            shares = [(idx - inst * theta - n * (t - 1), val)
-                      for idx, val in received.items()
-                      if inst * theta + n * (t - 1) < idx <= inst * theta + n * t]
-            message = rs_decode(code, shares)
-            val = 0
-            for i in range(k):
-                val ^= p.gf.mul(message[i], code.generator.data[i][f - 1])
-            out.append((inst * theta + n * (t - 1) + f, val))
-    return sorted(out)
-
-
-def reconstruct_msr_stacked(p: Placement, nodes: list[NodeId]) -> list[int]:
-    top = p.topology
-    nodes = _distinct_nodes(p, nodes)
-    n, nk = top.n, top.n - top.k
-    theta = p.params["theta"]
-    code = stacked_codec(p)
-    out: list[int] = []
-    for inst in range(p.instances):
-        for t in range(1, nk + 1):
-            shares = []
-            for node in nodes:
-                u = node_flat(node, top)
-                held = dict(p.holdings[node])
-                shares.append((u, held[inst * theta + n * (t - 1) + u]))
-            out += rs_decode(code, shares)
-    return out
+    words = tuple(Component(gen, slice(t * k, (t + 1) * k),
+                            tuple(n * t + u for u in range(1, n + 1)), code)
+                  for t in range(n - k))
+    return Construction(params, layout, words, plan)
 
 
 # ----------------------------------------------------------------- wrapped
 
-class ProductMatrixMsr:
-    """Product-matrix minimum-storage code at the d = n-1 = 2k-2 point.
+def wrapped(top: ClusterTopology, gf: GF, params: dict) -> Construction:
+    """Node u stores the product-matrix content of base node u as symbols
+    (u-1)*alpha + 1 .. u*alpha."""
+    base = ProductMatrixMsr(top.n, top.k, gf)
+    alpha, chi = base.alpha, params["chi"]
+    rows = [base.coeff(u, a) for u in range(top.n) for a in range(alpha)]
+    layout = {node: tuple(range((u - 1) * alpha + 1, u * alpha + 1))
+              for node, u in ((x, node_flat(x, top)) for x in top.nodes())}
 
-    Satisfies BaseMsrContract: alpha = n-k symbols per node, file size
-    k*(n-k), repair pulls exactly one symbol from each of the n-1 helpers,
-    and any k nodes reconstruct. The message fills two symmetric alpha x alpha
-    matrices S1, S2; node u stores psi_u^T [S1; S2] for the Vandermonde row
-    psi_u = (1, x_u, ..., x_u^(2*alpha-1)) with lambda_u = x_u^alpha distinct.
-    """
+    def plan(failed: NodeId) -> RepairPlan:
+        # every survivor h sends <content, phi_f>, phi_f the first alpha entries
+        # of psi_f; the n-1 = 2*alpha received symbols are psi_h [S1; S2] phi_f,
+        # so y = Psi^-1 received and content_f = y_1 + lambda_f y_2
+        f = node_flat(failed, top) - 1
+        helpers = [h for h in top.nodes() if h != failed]
+        send = tuple(base.psi[f][:alpha])
+        sends = {h: [(send, chi if h.l == failed.l else 1)] for h in helpers}
+        inv = mat_inv(gf, Matrix(len(helpers), 2 * alpha,
+                                 [base.psi[node_flat(h, top) - 1] for h in helpers])).data
+        return RepairPlan(sends, [(1, [(r, inv[a][r] ^ gf.mul(base.lam[f], inv[alpha + a][r]))
+                                       for r in range(len(helpers))]) for a in range(alpha)])
 
-    def __init__(self, n: int, k: int, gf: GF):
-        if n != 2 * k - 1:
-            raise ParamError(
-                f"the shipped product-matrix instance needs n = 2k-1, got "
-                f"n={n}, k={k}; supply a custom base code for other shapes"
-            )
-        if k < 2:
-            raise ParamError("product-matrix code needs k >= 2")
-        self.n, self.k, self.gf = n, k, gf
-        self.alpha = k - 1
-        self.file_size = k * (k - 1)
-        xs: list[int] = []
-        lams: set[int] = set()
-        for v in range(1, gf.order):
-            lam = gf.pow(v, self.alpha)
-            if lam not in lams:
-                xs.append(v)
-                lams.add(lam)
-            if len(xs) == n:
-                break
-        if len(xs) < n:
-            raise ParamError(f"field GF(2^{gf.m}) too small for {n} encoding rows")
-        self.xs = xs
-        self.lam = [gf.pow(x, self.alpha) for x in xs]
-        self.psi = [[gf.pow(x, e) for e in range(2 * self.alpha)] for x in xs]
-
-    def _tri(self, a: int, b: int) -> int:
-        a, b = min(a, b), max(a, b)
-        return a * self.alpha - a * (a - 1) // 2 + (b - a)
-
-    def _coeff(self, u: int, slot: int) -> list[int]:
-        """Coefficients of node u's slot-th symbol over the source vector."""
-        half = self.alpha * (self.alpha + 1) // 2
-        row = [0] * self.file_size
-        for i in range(self.alpha):
-            row[self._tri(i, slot)] ^= self.psi[u][i]
-            row[half + self._tri(i, slot)] ^= self.psi[u][self.alpha + i]
-        return row
-
-    def encode(self, source: list[int]) -> list[list[int]]:
-        if len(source) != self.file_size:
-            raise ParamError(f"source length {len(source)} != M={self.file_size}")
-        gf = self.gf
-        content = []
-        for u in range(self.n):
-            node = []
-            for slot in range(self.alpha):
-                val = 0
-                for pos, c in enumerate(self._coeff(u, slot)):
-                    if c and source[pos]:
-                        val ^= gf.mul(c, source[pos])
-                node.append(val)
-            content.append(node)
-        return content
-
-    def repair_symbol(self, helper: int, content: list[int], failed: int) -> int:
-        """The single symbol helper sends for failed: <content, phi_failed>."""
-        gf = self.gf
-        val = 0
-        for a in range(self.alpha):
-            val ^= gf.mul(content[a], self.psi[failed][a])
-        return val
-
-    def regenerate(self, failed: int, received: dict[int, int]) -> list[int]:
-        """Rebuild node content from one repair symbol per surviving node."""
-        helpers = sorted(received)
-        if len(helpers) != self.n - 1 or failed in helpers:
-            raise ParamError("repair needs exactly the n-1 survivors")
-        system = Matrix(self.n - 1, 2 * self.alpha, [self.psi[u] for u in helpers])
-        res = mat_solve(self.gf, system, [received[u] for u in helpers])
-        y = res.solution  # unique: square Vandermonde system
-        return [y[a] ^ self.gf.mul(self.lam[failed], y[self.alpha + a])
-                for a in range(self.alpha)]
-
-    def reconstruct(self, shares: dict[int, list[int]]) -> list[int]:
-        if len(shares) < self.k:
-            raise InsufficientDataError(f"{len(shares)} nodes given, need {self.k}")
-        rows, rhs = [], []
-        for u in sorted(shares):
-            for slot in range(self.alpha):
-                rows.append(self._coeff(u, slot))
-                rhs.append(shares[u][slot])
-        res = mat_solve(self.gf, Matrix(len(rows), self.file_size, rows), rhs)
-        if res.solution is None:
-            raise InconsistentSharesError("node contents are inconsistent")
-        if res.underdetermined:
-            raise InsufficientDataError("node contents do not pin the source")
-        return res.solution
-
-
-def _wrap_chi(top: ClusterTopology, eps: Fraction) -> int:
-    eps = Fraction(eps)
-    if not Fraction(1, top.n - top.k) <= eps <= 1:
-        raise RegimeError(
-            f"wrapped construction covers 1/(n-k) <= eps <= 1; got eps={eps}, "
-            f"1/(n-k)={Fraction(1, top.n - top.k)}"
-        )
-    if eps.numerator != 1:
-        raise ParamError(f"1/eps must be a positive integer, got eps={eps}")
-    return eps.denominator
-
-
-def build_msr_wrapped(top: ClusterTopology, eps: Fraction, source: list[int],
-                      gf: GF, base: ProductMatrixMsr | None = None) -> Placement:
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
-    chi = _wrap_chi(top, eps)
-    if base is None:
-        base = ProductMatrixMsr(top.n, top.k, gf)
-    if (base.n, base.k) != (top.n, top.k):
-        raise ParamError(f"base code is ({base.n},{base.k}), topology needs "
-                         f"({top.n},{top.k})")
-    alpha = top.n - top.k
-    file_size = top.k * alpha
-    theta = top.n * alpha
-    s = _instances(len(source), file_size)
-    holdings: dict[NodeId, Holding] = {node: [] for node in top.nodes()}
-    for inst in range(s):
-        content = base.encode(source[inst * file_size:(inst + 1) * file_size])
-        for node in top.nodes():
-            u = node_flat(node, top)
-            holdings[node] += [(inst * theta + (u - 1) * alpha + a + 1, val)
-                               for a, val in enumerate(content[u - 1])]
-    for node in holdings:
-        holdings[node].sort()
-    params = {"alpha": alpha, "beta_i": chi, "beta_c": 1,
-              "gamma": (top.n_I - 1) * chi + (top.n - top.n_I),
-              "M": file_size, "theta": theta, "chi": chi,
-              "epsilon": str(Fraction(1, chi)), "s": s, "base": "product-matrix"}
-    p = Placement("msr-wrapped", top, gf, params, holdings)
-    p.codec = base
-    return p
-
-
-def wrapped_codec(p: Placement) -> ProductMatrixMsr:
-    if p.codec is None:
-        p.codec = ProductMatrixMsr(p.topology.n, p.topology.k, p.gf)
-    return p.codec
-
-
-def _wrapped_content(p: Placement, node: NodeId, inst: int) -> list[int]:
-    alpha, theta = p.params["alpha"], p.params["theta"]
-    u = node_flat(node, p.topology)
-    held = dict(p.holdings[node])
-    return [held[inst * theta + (u - 1) * alpha + a + 1] for a in range(alpha)]
-
-
-def repair_msr_wrapped(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
-    """Every survivor computes the base repair symbol; cluster mates repeat it
-    chi times on the wire. The regenerated content ignores the duplicates."""
-    top = p.topology
-    base = wrapped_codec(p)
-    chi, s = p.params["chi"], p.instances
-    f = node_flat(failed, top) - 1
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {}
-    for helper in top.nodes():
-        if helper == failed:
-            continue
-        copies = chi if helper.l == failed.l else 1
-        syms: list[tuple[int | None, int]] = []
-        for inst in range(s):
-            sym = base.repair_symbol(node_flat(helper, top) - 1,
-                                     _wrapped_content(p, helper, inst), f)
-            syms += [(None, sym)] * copies
-        contributions[helper] = syms
-    transcript = RepairTranscript(
-        failed, contributions, beta_i=s * chi, beta_c=s * 1,
-        gamma=sum(len(v) for v in contributions.values()))
-    return transcript, regenerate_msr_wrapped(p, transcript)
-
-
-def regenerate_msr_wrapped(p: Placement, transcript: RepairTranscript) -> Holding:
-    top = p.topology
-    base = wrapped_codec(p)
-    alpha, theta, s = p.params["alpha"], p.params["theta"], p.instances
-    f = node_flat(transcript.failed, top) - 1
-    out: Holding = []
-    for inst in range(s):
-        received = {}
-        for helper, syms in transcript.contributions.items():
-            per_inst = len(syms) // s
-            received[node_flat(helper, top) - 1] = syms[inst * per_inst][1]
-        content = base.regenerate(f, received)
-        out += [(inst * theta + f * alpha + a + 1, val)
-                for a, val in enumerate(content)]
-    return sorted(out)
-
-
-def reconstruct_msr_wrapped(p: Placement, nodes: list[NodeId]) -> list[int]:
-    top = p.topology
-    nodes = _distinct_nodes(p, nodes)
-    base = wrapped_codec(p)
-    out: list[int] = []
-    for inst in range(p.instances):
-        shares = {node_flat(node, top) - 1: _wrapped_content(p, node, inst)
-                  for node in nodes}
-        out += base.reconstruct(shares)
-    return out
+    whole = Component(Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]),
+                      slice(0, base.file_size), tuple(range(1, len(rows) + 1)))
+    return Construction(params, layout, (whole,), plan)

@@ -8,7 +8,7 @@ Symbol indices are 1-based and global; values are hex at the field's width.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -28,7 +28,6 @@ class Placement:
     gf: GF
     params: dict[str, Any]  # alpha/beta_i/beta_c/gamma/M/theta per instance, s, ...
     holdings: dict[NodeId, Holding]
-    codec: Any = field(default=None, repr=False, compare=False)  # lazily rebuilt
 
     @property
     def instances(self) -> int:

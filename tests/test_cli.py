@@ -247,3 +247,97 @@ def test_unknown_code_kind_exit_3(tmp_path, capsys):
                        "--source", str(src), "--out", str(tmp_path / "o.json"))
     assert code == 3
     assert "unknown code kind" in err
+
+
+# one small reference system per kind: its build flags and file size M
+KIND_SYSTEMS = {
+    "mbr0": (["--n", "6", "--k", "3", "--L", "2"], 3),
+    "mbr": (["--n", "6", "--k", "3", "--L", "2", "--chi", "3"], 18),
+    "msr0-div": (["--n", "6", "--k", "3", "--L", "2"], 6),
+    "msr0-nondiv": (["--n", "6", "--k", "4", "--L", "2"], 3),
+    "msr-stacked": (["--n", "6", "--k", "2", "--L", "3"], 8),
+    "msr-wrapped": (["--n", "9", "--k", "5", "--L", "3", "--epsilon", "1/2"], 20),
+}
+
+
+def build_kind(tmp_path, capsys, kind, instances, *extra):
+    """Build a placement of `kind` holding `instances` instances; returns the
+    payload and the placement path."""
+    flags, m_size = KIND_SYSTEMS[kind]
+    payload = bytes(Random(len(kind)).randrange(256) for _ in range(m_size * instances))
+    src, place = tmp_path / "src.bin", tmp_path / "place.json"
+    src.write_bytes(payload)
+    code, _, err = run(capsys, "build", "--code", kind, *flags, "--source", str(src),
+                       "--out", str(place), *extra)
+    assert code == 0, err
+    return payload, place
+
+
+def all_nodes(place):
+    return [f"{e['l']},{e['j']}" for e in json.loads(place.read_text())["nodes"]]
+
+
+@pytest.mark.parametrize("kind", KIND_SYSTEMS)
+@pytest.mark.parametrize("bad", ["9,9", "0,1", "2,0"])
+@pytest.mark.parametrize("command", ["repair", "reconstruct"])
+def test_node_outside_topology_exit_2(tmp_path, capsys, kind, bad, command):
+    _, place = build_kind(tmp_path, capsys, kind, 1)
+    if command == "repair":
+        argv = ["repair", "--placement", str(place), "--node", bad,
+                "--out-transcript", str(tmp_path / "t.json"),
+                "--out-node", str(tmp_path / "n.json")]
+    else:
+        argv = ["reconstruct", "--placement", str(place),
+                "--nodes", bad, *all_nodes(place), "--out", str(tmp_path / "x.bin")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "N({})".format(bad) in err and "Traceback" not in err
+
+
+def _drop_last(obj):
+    obj["nodes"][0]["symbols"].pop()
+
+
+def _add_extra(obj):
+    obj["nodes"][0]["symbols"].append(dict(obj["nodes"][0]["symbols"][0]))
+
+
+def _wrong_s(obj):
+    obj["params"]["s"] += 1
+
+
+def _outside_field(obj):
+    obj["nodes"][0]["symbols"][0]["val_hex"] = "1ff"
+
+
+@pytest.mark.parametrize("kind", KIND_SYSTEMS)
+@pytest.mark.parametrize("mutate", [_drop_last, _add_extra, _wrong_s, _outside_field])
+def test_malformed_holding_exit_3(tmp_path, capsys, kind, mutate):
+    _, place = build_kind(tmp_path, capsys, kind, 2)
+    obj = json.loads(place.read_text())
+    assert (obj["nodes"][0]["l"], obj["nodes"][0]["j"]) == (1, 1)
+    mutate(obj)
+    place.write_text(json.dumps(obj))
+    for argv in (["repair", "--placement", str(place), "--node", "1,2",
+                  "--out-transcript", str(tmp_path / "t.json"),
+                  "--out-node", str(tmp_path / "n.json")],
+                 ["reconstruct", "--placement", str(place), "--nodes", *all_nodes(place),
+                  "--out", str(tmp_path / "x.bin")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, (argv[0], err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", KIND_SYSTEMS)
+def test_dump_generator_encodes_the_placement(tmp_path, capsys, kind):
+    from clustercodes.galois import field_create
+    from clustercodes.mdscodec import Matrix, vec_mat
+    gen = tmp_path / "gen.csv"
+    payload, place = build_kind(tmp_path, capsys, kind, 1, "--dump-generator", str(gen))
+    rows = [[int(x, 16) for x in line.split(",")]
+            for line in gen.read_text().strip().splitlines()]
+    assert len(rows) == KIND_SYSTEMS[kind][1]
+    word = vec_mat(field_create(8), list(payload), Matrix(len(rows), len(rows[0]), rows))
+    stored = {s["idx"]: int(s["val_hex"], 16)
+              for e in json.loads(place.read_text())["nodes"] for s in e["symbols"]}
+    assert stored == {i + 1: val for i, val in enumerate(word)}

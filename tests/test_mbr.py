@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 from random import Random
 
@@ -5,14 +6,22 @@ import pytest
 
 from clustercodes.capacity import mbr_filesize_pos, mbr_filesize_zero
 from clustercodes.errors import InsufficientDataError, ParamError
+from clustercodes.codes import build
+from clustercodes.codes import reconstruct as reconstruct_mbr
+from clustercodes.codes import repair as repair_mbr
 from clustercodes.galois import field_create
-from clustercodes.mbr import (build_mbr_pos, build_mbr_zero, local_to_tuple,
-                              mbr_pos_layout, mbr_zero_layout, reconstruct_mbr,
-                              repair_mbr, tuple_to_local)
+from clustercodes.mbr import (local_to_tuple, mbr_pos_layout, mbr_zero_layout,
+                              tuple_to_local)
 from clustercodes.placement import placement_from_obj, placement_to_obj
 from clustercodes.topology import ClusterTopology, NodeId
 
 GF8 = field_create(8)
+
+build_mbr_zero = partial(build, "mbr0")
+
+
+def build_mbr_pos(top, chi, source, gf):
+    return build("mbr", top, source, gf, chi=chi)
 
 
 def source_for(top, seed, chi=None, copies=1):

@@ -1,23 +1,34 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from random import Random
 
 import pytest
 
+from clustercodes.codes import build, generator, reconstruct, repair
 from clustercodes.errors import (InsufficientDataError, ParamError, RegimeError)
 from clustercodes.galois import field_create
-from clustercodes.msr import (ProductMatrixMsr, build_msr_div, build_msr_nondiv,
-                              build_msr_stacked, build_msr_wrapped, nondiv_codec,
-                              reconstruct_msr_div, reconstruct_msr_nondiv,
-                              reconstruct_msr_stacked, reconstruct_msr_wrapped,
-                              repair_msr_div, repair_msr_nondiv,
-                              repair_msr_stacked, repair_msr_wrapped, rot_group,
-                              rot_node_j)
+from clustercodes.msr import ProductMatrixMsr, rot_group, rot_node_j
 from clustercodes.topology import ClusterTopology, NodeId, node_flat
 
 from oracles import rank
 
 GF8 = field_create(8)
+
+build_msr_div = partial(build, "msr0-div")
+build_msr_nondiv = partial(build, "msr0-nondiv")
+build_msr_stacked = partial(build, "msr-stacked")
+reconstruct_msr_div = reconstruct_msr_nondiv = reconstruct
+reconstruct_msr_stacked = reconstruct_msr_wrapped = reconstruct
+repair_msr_div = repair_msr_nondiv = repair_msr_stacked = repair_msr_wrapped = repair
+
+
+def build_msr_wrapped(top, eps, source, gf):
+    return build("msr-wrapped", top, source, gf, epsilon=eps)
+
+
+def nondiv_codec(p):
+    return None, generator(p)
 
 
 def rand_syms(n, seed):
