@@ -17,7 +17,7 @@ from . import codes, harness
 from .capacity import capacity_eval
 from .errors import (FormatError, InconsistentSharesError, ParamError)
 from .galois import field_create
-from .placement import (dump_json, load_json, placement_from_obj,
+from .placement import (KINDS, dump_json, load_json, placement_from_obj,
                         placement_to_obj, transcript_to_obj)
 from .topology import ClusterTopology, NodeId
 
@@ -58,7 +58,9 @@ def _load_placement(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    return placement_from_obj(load_json(text))
+    p = placement_from_obj(load_json(text))
+    codes.check_params(p)
+    return p
 
 
 def _write(path: str | None, text: str) -> None:
@@ -257,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="encode a byte payload into a placement")
     sp.add_argument("--config", help="JSON config; flags override its keys")
-    sp.add_argument("--code", choices=("mbr0", "mbr", "msr0-div", "msr0-nondiv",
-                                       "msr-stacked", "msr-wrapped"))
+    sp.add_argument("--code", choices=KINDS)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--L", type=int)

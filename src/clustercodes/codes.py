@@ -215,6 +215,58 @@ def _content(p: Placement, con: Construction, nodes: list[NodeId],
     return out
 
 
+def check_holdings(p: Placement, nodes: list[NodeId]) -> None:
+    """The check every engine call runs on the nodes it reads: each must be a
+    node of p's topology (else ParamError) and hold exactly its layout's
+    symbols for each of the s instances, with values in the field (else
+    FormatError); a node missing from p.holdings holds nothing."""
+    con, s = _engine(p, nodes)
+    _content(p, con, nodes, s)
+
+
+def params_mismatch(p: Placement, want: dict[str, Any]) -> tuple[str, Any, Any] | None:
+    """The first key of want on which p's params disagree, as (key, wanted,
+    actual); epsilon compares as an exact rational. None when all agree."""
+    for key, value in want.items():
+        if key == "epsilon":
+            actual, value = p.epsilon(), parse_rational(value)
+        else:
+            actual = p.params.get(key)
+        if actual != value:
+            return key, value, actual
+    return None
+
+
+def check_params(p: Placement) -> None:
+    """Raise FormatError unless p's params are those a build of its kind
+    records: an integer chi where there is one, a 'p/q' epsilon, the declared
+    parameters and, for msr0-nondiv, L*(n_I-1) evaluation points and parity
+    weights that are nonzero field elements. A placement read from a file is
+    checked once on load; the engine itself trusts its params."""
+    chi, eps = p.params.get("chi"), p.params.get("epsilon")
+    if chi is not None and type(chi) is not int:
+        raise FormatError(f"placement chi {chi!r} is not an integer")
+    bad_eps = FormatError(f"placement epsilon {eps!r} is not an exact rational 'p/q'")
+    if type(eps) is not str:
+        raise bad_eps
+    try:
+        Fraction(eps)
+    except (ValueError, ZeroDivisionError) as e:
+        raise bad_eps from e
+    bad = params_mismatch(p, declared_params(p.kind, p.topology, chi))
+    if bad is not None:
+        key, want, actual = bad
+        raise FormatError(f"placement param {key}={actual}, but {p.kind} declares {want}")
+    if p.kind == "msr0-nondiv":
+        size = p.topology.L * (p.topology.n_I - 1)
+        for key in ("eval_points", "parity_weights"):
+            vals = p.params.get(key)
+            if (type(vals) is not list or len(vals) != size or
+                    not all(type(x) is int and 0 < x < p.gf.order for x in vals)):
+                raise FormatError(f"placement {key} is not {size} nonzero elements "
+                                  f"of GF(2^{p.gf.m})")
+
+
 @lru_cache(maxsize=256)
 def _plan(con: Construction, failed: NodeId) -> RepairPlan:
     return con.repair_plan(failed)

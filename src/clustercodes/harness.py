@@ -1,5 +1,6 @@
-"""Executable verification: repair exactness, bandwidth accounting, any-k
-reconstruction, distinct-symbol counting bounds, and structural scans.
+"""Executable verification: parameters and holdings against the
+construction, repair exactness, bandwidth accounting, any-k reconstruction,
+and distinct-symbol counting bounds.
 
 Every check returns a CheckResult; a failure always carries a reproducible
 counterexample (the failing node, contact set, or contact vector).
@@ -15,8 +16,7 @@ from typing import Any, Callable
 
 from . import codes
 from .capacity import capacity_eval, derive, mbr_filesize_pos, mbr_filesize_zero
-from .errors import ClusterCodeError
-from .msr import cluster_coeffs
+from .errors import ClusterCodeError, FormatError
 from .placement import Placement, RepairTranscript
 from .topology import (ClusterTopology, NodeId, contact_sets, contact_vectors,
                        node_pair, nodes_realizing, omega_star)
@@ -113,17 +113,13 @@ def count_distinct(p: Placement, omega: tuple[int, ...], variant: int = 0) -> in
 
 
 def closed_form_count(p: Placement, omega: tuple[int, ...]) -> int:
-    """Closed-form prediction for the distinct-symbol count n(omega)."""
-    top = p.topology
-    s = p.instances
-    k, alpha = top.k, p.params["alpha"]
+    """Closed-form distinct-symbol count n(omega) of a repair-by-transfer code,
+    where every symbol sits on two nodes: of the C(k,2) contacted pairs, the
+    `overlap` within a cluster share beta_I symbols and the rest beta_c."""
+    k, par = p.topology.k, p.params
     overlap = sum(comb(w, 2) for w in omega)
-    if p.kind == "mbr0":
-        return s * (k * alpha - overlap)
-    if p.kind == "mbr":
-        chi = p.params["chi"]
-        return s * (k * alpha - comb(k, 2) - (chi - 1) * overlap)
-    raise ClusterCodeError(f"no counting formula for kind {p.kind!r}")
+    return p.instances * (k * par["alpha"] - par["beta_i"] * overlap
+                          - par["beta_c"] * (comb(k, 2) - overlap))
 
 
 def verify_counting(p: Placement, variants: int = 3) -> CheckResult:
@@ -139,7 +135,7 @@ def verify_counting(p: Placement, variants: int = 3) -> CheckResult:
     top = p.topology
     m_total = p.instances * p.params["M"]
     star = tuple(sorted(omega_star(top)))
-    overlap_varies = p.kind == "mbr0" or p.params.get("chi", 1) > 1
+    overlap_varies = p.params["beta_i"] != p.params["beta_c"]
     for omega in contact_vectors(top):
         measured = count_distinct(p, omega)
         expected = closed_form_count(p, omega)
@@ -159,104 +155,29 @@ def verify_counting(p: Placement, variants: int = 3) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _pair_share_counts(p: Placement) -> tuple[dict, dict[int, int]]:
-    """(per-pair shared-symbol counts, per-symbol owner counts)."""
-    owners: dict[int, int] = {}
-    for node in p.topology.nodes():
-        for idx in p.holding_indices(node):
-            owners[idx] = owners.get(idx, 0) + 1
-    nodes = p.topology.nodes()
-    shares = {}
-    sets = {node: set(p.holding_indices(node)) for node in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            shares[(a, b)] = len(sets[a] & sets[b])
-    return shares, owners
-
-
 def verify_structure(p: Placement) -> CheckResult:
-    """Kind-specific layout facts, by direct counting over the holdings."""
+    """Every node of the topology holds exactly its layout's symbols for each
+    instance, with values in the field: the check the engine runs on every
+    node it reads. A node missing from the holdings holds nothing."""
     name = "structure"
-    top = p.topology
-    s = p.instances
-    alpha = s * p.params["alpha"]
-    for node in top.nodes():
-        if len(p.holdings[node]) != alpha:
-            return _fail(name, node=_node_str(node),
-                         reason=f"holds {len(p.holdings[node])}, alpha={alpha}")
-    if p.kind in ("mbr0", "mbr"):
-        chi = p.params.get("chi", 0)
-        want_same = s * (1 if p.kind == "mbr0" else chi)
-        want_cross = s * (0 if p.kind == "mbr0" else 1)
-        shares, owners = _pair_share_counts(p)
-        if any(count != 2 for count in owners.values()):
-            bad = next(i for i, c in owners.items() if c != 2)
-            return _fail(name, symbol=bad, reason=f"stored {owners[bad]} times, not 2")
-        total = s * p.params["theta"]
-        if len(owners) != total:
-            return _fail(name, reason=f"{len(owners)} symbols placed, theta*s={total}")
-        for (a, b), count in shares.items():
-            want = want_same if a.l == b.l else want_cross
-            if count != want:
-                return _fail(name, pair=[_node_str(a), _node_str(b)],
-                             reason=f"share {count}, expected {want}")
-        return CheckResult(name, True)
-    if p.kind == "msr0-div":
-        n_i, theta = top.n_I, p.params["theta"]
-        for node in top.nodes():
-            for inst in range(s):
-                lo, hi = (node.l - 1) * n_i, node.l * n_i
-                groups = sorted((idx - 1 - inst * theta) // n_i
-                                for idx, _ in p.holdings[node]
-                                if inst * theta < idx <= (inst + 1) * theta)
-                if groups != list(range(lo, hi)):
-                    return _fail(name, node=_node_str(node),
-                                 reason="not one element of each cluster group")
-        return CheckResult(name, True)
-    if p.kind == "msr0-nondiv":
-        for l in range(1, top.L + 1):
-            coeffs = cluster_coeffs(p.params["parity_weights"], top.n_I, l)
-            for inst in range(s):
-                acc = 0
-                for node in top.cluster(l):
-                    val = dict(p.holdings[node])[inst * top.n +
-                                                 (node.l - 1) * top.n_I + node.j]
-                    acc ^= p.gf.mul(coeffs[node.j - 1], val)
-                if acc != 0:
-                    return _fail(name, cluster=l, reason="cluster parity violated")
-        return CheckResult(name, True)
-    if p.kind == "msr-stacked":
-        n, nk, theta = top.n, top.n - top.k, p.params["theta"]
-        for node in top.nodes():
-            u = (node.l - 1) * top.n_I + node.j
-            want = sorted(inst * theta + n * (i - 1) + u
-                          for inst in range(s) for i in range(1, nk + 1))
-            if p.holding_indices(node) != want:
-                return _fail(name, node=_node_str(node),
-                             reason="not one coordinate of each component code")
-        return CheckResult(name, True)
-    if p.kind == "msr-wrapped":
-        return CheckResult(name, True)  # per-node cardinality already checked
-    return _fail(name, reason=f"unknown kind {p.kind!r}")
+    for node in p.topology.nodes():
+        try:
+            codes.check_holdings(p, [node])
+        except FormatError as e:
+            return _fail(name, node=_node_str(node), reason=str(e))
+    return CheckResult(name, True)
 
 
 def params_match(p: Placement, expect: dict[str, Any]) -> CheckResult:
     """Built placement parameters vs the declared closed forms and any
     caller-supplied expectations."""
-    name = "params-match"
     declared = codes.declared_params(p.kind, p.topology, p.params.get("chi"),
                                      p.epsilon())
-    merged = dict(declared)
-    merged.update(expect)
-    for key, want in merged.items():
-        if key == "epsilon":
-            actual: Any = p.epsilon()
-            want = codes.parse_rational(want)
-        else:
-            actual = p.params.get(key)
-        if actual != want:
-            return _fail(name, key=key, expected=str(want), actual=str(actual))
-    return CheckResult(name, True)
+    bad = codes.params_mismatch(p, declared | expect)
+    if bad is not None:
+        key, want, actual = bad
+        return _fail("params-match", key=key, expected=str(want), actual=str(actual))
+    return CheckResult("params-match", True)
 
 
 def random_source(gf, length: int, seed: int) -> list[int]:

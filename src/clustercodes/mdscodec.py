@@ -25,10 +25,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
@@ -182,7 +178,7 @@ class RsCode:
 
 
 def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
-              shift: int = 0, points: tuple[int, ...] | None = None) -> RsCode:
+              points: tuple[int, ...] | None = None) -> RsCode:
     if not 1 <= k_in <= n_out:
         raise ParamError(f"need 1 <= k_in <= n_out, got ({n_out}, {k_in})")
     if n_out > gf.order - 1:
@@ -191,7 +187,7 @@ def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
             f"points of GF(2^{gf.m}); promote the field (e.g. m=16)"
         )
     if points is None:
-        points = tuple((shift + t) % (gf.order - 1) + 1 for t in range(n_out))
+        points = tuple(range(1, n_out + 1))
     elif len(points) != n_out or len(set(points)) != n_out or \
             not all(0 < p < gf.order for p in points):
         raise ParamError(f"need {n_out} distinct nonzero evaluation points")

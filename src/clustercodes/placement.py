@@ -87,9 +87,13 @@ def placement_from_obj(obj: dict) -> Placement:
         if kind not in KINDS:
             raise FormatError(f"unknown placement kind {kind!r}")
         params = dict(obj["params"])
-        top = ClusterTopology(params.pop("n"), params.pop("k"), params.pop("L"))
         fobj = params.pop("field")
-        gf = field_create(fobj["m"], fobj["poly"])
+        n, k, big_l, m, poly = ints = (params.pop("n"), params.pop("k"), params.pop("L"),
+                                       fobj["m"], fobj["poly"])
+        if any(type(x) is not int for x in ints):
+            raise FormatError("placement n, k, L and field m, poly must be integers")
+        top = ClusterTopology(n, k, big_l)
+        gf = field_create(m, poly)
         holdings: dict[NodeId, Holding] = {}
         for entry in obj["nodes"]:
             node = NodeId(entry["l"], entry["j"])

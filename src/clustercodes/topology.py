@@ -6,13 +6,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from random import Random
+from typing import NamedTuple
 
 from .errors import ParamError
 from .mdscodec import Matrix
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """The j-th node of the l-th cluster, both 1-based."""
     l: int
     j: int
@@ -84,11 +84,6 @@ def incidence_row(t: int, j: int) -> list[int]:
     return [i + 1 for i, e in enumerate(edges(t)) if j in e]
 
 
-def shared_edge(t: int, j1: int, j2: int) -> int:
-    """1-based column of the single edge joining vertices j1 and j2 of K_t."""
-    return edges(t).index((min(j1, j2), max(j1, j2))) + 1
-
-
 def contact_vectors(top: ClusterTopology) -> list[tuple[int, ...]]:
     """All omega with sum(omega) = k and 0 <= omega_l <= n_I, lexicographic."""
     out: list[tuple[int, ...]] = []
@@ -113,20 +108,6 @@ def omega_star(top: ClusterTopology) -> tuple[int, ...]:
     q, r = divmod(top.k, top.n_I)
     star = [top.n_I] * q + ([r] if q < top.L else []) + [0] * max(0, top.L - q - 1)
     return tuple(star)
-
-
-def majorizes(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True when a majorizes b: equal totals, sorted prefix sums of a dominate."""
-    if len(a) != len(b) or sum(a) != sum(b):
-        return False
-    sa, sb = sorted(a, reverse=True), sorted(b, reverse=True)
-    run_a = run_b = 0
-    for x, y in zip(sa, sb):
-        run_a += x
-        run_b += y
-        if run_a < run_b:
-            return False
-    return True
 
 
 def contact_sets(top: ClusterTopology, limit: int = 10_000, samples: int = 1_000,

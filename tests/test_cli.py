@@ -310,6 +310,15 @@ def _outside_field(obj):
     obj["nodes"][0]["symbols"][0]["val_hex"] = "1ff"
 
 
+def load_commands(tmp_path, place):
+    """A repair of N(1,2) and a reconstruct from every node of the placement."""
+    return (["repair", "--placement", str(place), "--node", "1,2",
+             "--out-transcript", str(tmp_path / "t.json"),
+             "--out-node", str(tmp_path / "n.json")],
+            ["reconstruct", "--placement", str(place), "--nodes", *all_nodes(place),
+             "--out", str(tmp_path / "x.bin")])
+
+
 @pytest.mark.parametrize("kind", KIND_SYSTEMS)
 @pytest.mark.parametrize("mutate", [_drop_last, _add_extra, _wrong_s, _outside_field])
 def test_malformed_holding_exit_3(tmp_path, capsys, kind, mutate):
@@ -318,14 +327,34 @@ def test_malformed_holding_exit_3(tmp_path, capsys, kind, mutate):
     assert (obj["nodes"][0]["l"], obj["nodes"][0]["j"]) == (1, 1)
     mutate(obj)
     place.write_text(json.dumps(obj))
-    for argv in (["repair", "--placement", str(place), "--node", "1,2",
-                  "--out-transcript", str(tmp_path / "t.json"),
-                  "--out-node", str(tmp_path / "n.json")],
-                 ["reconstruct", "--placement", str(place), "--nodes", *all_nodes(place),
-                  "--out", str(tmp_path / "x.bin")]):
+    for argv in load_commands(tmp_path, place):
         code, _, err = run(capsys, *argv)
         assert code == 3, (argv[0], err)
         assert "Traceback" not in err
+
+
+# placement params that differ from what a build of the kind records
+PARAM_EDITS = {
+    "chi-string": ("mbr", lambda params: params.update(chi="3")),
+    "poly-string": ("mbr", lambda params: params["field"].update(poly="285")),
+    "M-off-by-one": ("mbr", lambda params: params.update(M=17)),
+    "epsilon-garbage": ("mbr", lambda params: params.update(epsilon="x")),
+    "weights-short": ("msr0-nondiv", lambda params: params["parity_weights"].pop()),
+}
+
+
+@pytest.mark.parametrize("edit", PARAM_EDITS)
+@pytest.mark.parametrize("command", ["repair", "reconstruct"])
+def test_bad_placement_params_exit_3(tmp_path, capsys, edit, command):
+    kind, mutate = PARAM_EDITS[edit]
+    _, place = build_kind(tmp_path, capsys, kind, 1)
+    obj = json.loads(place.read_text())
+    mutate(obj["params"])
+    place.write_text(json.dumps(obj))
+    repair, reconstruct = load_commands(tmp_path, place)
+    code, _, err = run(capsys, *(repair if command == "repair" else reconstruct))
+    assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", KIND_SYSTEMS)

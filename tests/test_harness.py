@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from clustercodes.codes import build, parse_config
+from clustercodes.codes import build, declared_params, parse_config
 from clustercodes.errors import FormatError
 from clustercodes.galois import field_create
 from clustercodes.harness import (acceptance_systems, closed_form_count,
@@ -155,14 +155,17 @@ def test_run_suite_wrong_expectation_fails():
     assert failing[0].counterexample is not None
 
 
-@pytest.mark.parametrize("raw", [
+KIND_SYSTEMS = [
     {"n": 12, "k": 6, "L": 3, "code": "mbr0"},
     {"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3},
     {"n": 6, "k": 3, "L": 2, "code": "msr0-div"},
     {"n": 6, "k": 4, "L": 2, "code": "msr0-nondiv"},
     {"n": 6, "k": 2, "L": 3, "code": "msr-stacked"},
     {"n": 9, "k": 5, "L": 3, "code": "msr-wrapped", "epsilon": "1/2"},
-])
+]
+
+
+@pytest.mark.parametrize("raw", KIND_SYSTEMS)
 def test_two_parallel_instances_all_kinds(raw):
     config = parse_config(raw)
     top, kind = config["topology"], config["kind"]
@@ -195,3 +198,63 @@ def test_report_deterministic_given_seed():
     b = report_to_obj(run_system(config))
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
+
+
+def build_system(raw, instances):
+    config = parse_config(raw)
+    top, kind = config["topology"], config["kind"]
+    m_size = declared_params(kind, top, config["chi"], config["epsilon"])["M"]
+    return build(kind, top, random_source(GF8, instances * m_size, seed=17), GF8,
+                 config["chi"], config["epsilon"])
+
+
+def _delete_node(p, node):
+    del p.holdings[node]
+
+
+def _drop_last_symbol(p, node):
+    p.holdings[node] = p.holdings[node][:-1]
+
+
+def _shift_indices(p, node):
+    p.holdings[node] = [(idx + 1000, val) for idx, val in p.holdings[node]]
+
+
+def _value_outside_field(p, node):
+    idx, _ = p.holdings[node][0]
+    p.holdings[node][0] = (idx, p.gf.order)
+
+
+@pytest.mark.parametrize("raw", KIND_SYSTEMS, ids=lambda raw: raw["code"])
+@pytest.mark.parametrize("tamper", [_delete_node, _drop_last_symbol, _shift_indices,
+                                    _value_outside_field])
+def test_structure_tampering_matrix(raw, tamper):
+    """Every kind: a tampered holding fails the structure check, which names
+    the node and never raises."""
+    p = build_system(raw, 2)
+    assert verify_structure(p).passed
+    tamper(p, NodeId(1, 2))
+    result = verify_structure(p)
+    assert not result.passed
+    assert result.counterexample["node"] == "1,2"
+    assert "N(1,2)" in result.counterexample["reason"]
+
+
+@pytest.mark.parametrize("raw", KIND_SYSTEMS, ids=lambda raw: raw["code"])
+def test_in_field_flip_fails_exact_repair(raw, monkeypatch):
+    """A flipped value that stays in the field passes the structure check; the
+    exact-repair check catches it on every kind (for msr0-nondiv, this is where
+    its cluster parity is enforced)."""
+    from clustercodes import codes
+
+    def flipped_build(*args, **kwargs):
+        p = build(*args, **kwargs)
+        idx, val = p.holdings[NodeId(1, 2)][0]
+        p.holdings[NodeId(1, 2)][0] = (idx, val ^ 1)
+        return p
+
+    monkeypatch.setattr(codes, "build", flipped_build)
+    report = run_system(parse_config(raw))
+    failing = [c.name for c in report.checks if not c.passed]
+    assert failing and failing[0] == "exact-repair"
+    assert [c.name for c in report.checks][:2] == ["params-match", "structure"]
