@@ -329,39 +329,38 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
 
 
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """Decode the source from >= k distinct nodes, component by component:
-    Reed-Solomon components by rs_decode, the others by elimination."""
+    """Decode the source from >= k distinct nodes, one decoding component at
+    a time and all s instances at once: Reed-Solomon components by rs_decode,
+    the others by elimination."""
     unique = list(dict.fromkeys(nodes))
     con, s = _engine(p, unique)
     if len(unique) < p.topology.k:
         raise InsufficientDataError(
             f"{len(unique)} distinct nodes contacted, need k={p.topology.k}")
-    alpha = con.params["alpha"]
-    held: dict[int, list[tuple[tuple[int, ...], int]]] = {}  # symbol -> (values, position)
+    alpha, m_size = con.params["alpha"], con.params["M"]
+    held: dict[int, list[list[int]]] = {}  # symbol -> per copy, its value in each instance
     for idxs, vals in _content(p, con, unique, s):
         for r, i in enumerate(idxs):
-            held.setdefault(i, []).append((vals, r))
-    decoders = []  # every copy goes in: redundant ones are checked by the decode
+            held.setdefault(i, []).append(list(vals[r::alpha]))
+    out = [0] * (s * m_size)
     for comp in con.components:
-        if comp.decodes:
-            shares = [(c, v, r) for c, i in enumerate(comp.idx) for v, r in held.get(i, ())]
-            system = None if comp.rs else Matrix(
-                len(shares), comp.generator.rows, [comp.generator.column(c) for c, _, _ in shares])
-            decoders.append((comp, shares, system))
-    out: list[int] = []
-    for off in range(0, s * alpha, alpha):
-        msg = [0] * con.params["M"]
-        for comp, shares, system in decoders:
-            if system is None:
-                msg[comp.msg] = rs_decode(comp.rs, [(c + 1, v[off + r]) for c, v, r in shares])
-                continue
-            res = mat_solve(p.gf, system, [v[off + r] for _, v, r in shares])
+        if not comp.decodes:
+            continue
+        # every copy goes in: redundant ones are checked by the decode
+        shares = [(c, v) for c, i in enumerate(comp.idx) for v in held.get(i, ())]
+        if comp.rs:
+            msg = rs_decode(comp.rs, [(c + 1, v) for c, v in shares])
+        else:
+            system = Matrix(len(shares), comp.generator.rows,
+                            [comp.generator.column(c) for c, _ in shares])
+            res = mat_solve(p.gf, system, Matrix(len(shares), s, [v for _, v in shares]))
             if res.solution is None:
                 raise InconsistentSharesError("contacted symbols are inconsistent")
             if res.underdetermined:
                 raise InsufficientDataError("contacted symbols do not pin the source")
-            msg[comp.msg] = res.solution
-        out += msg
+            msg = res.solution.data
+        for i, row in enumerate(msg, start=comp.msg.start):
+            out[i::m_size] = row
     return out
 
 
@@ -376,7 +375,11 @@ def parse_config(obj: dict) -> dict[str, Any]:
         kind = obj["code"]
         if kind not in KINDS:
             raise FormatError(f"unknown code kind {kind!r}")
-        chi = obj.get("chi")
+        chi, expect = obj.get("chi"), obj.get("expect", {})
+        if chi is not None and type(chi) is not int:
+            raise FormatError(f"config chi {chi!r} is not an integer")
+        if type(expect) is not dict:
+            raise FormatError(f"config expect {expect!r} is not an object")
         epsilon = parse_rational(obj["epsilon"]) if "epsilon" in obj else None
         if "field" in obj:
             fobj = obj["field"]
@@ -385,7 +388,7 @@ def parse_config(obj: dict) -> dict[str, Any]:
             gf = None  # promoted automatically once the code size is known
         return {"topology": top, "kind": kind, "chi": chi, "epsilon": epsilon,
                 "gf": gf, "seed": int(obj.get("seed", 0)),
-                "expect": obj.get("expect", {})}
+                "expect": expect}
     except (FormatError, ParamError):
         raise
     except KeyError as e:

@@ -132,6 +132,22 @@ class GF:
             return 0
         return self.exp[(self.log[a] * e) % (self.order - 1)]
 
+    # Whole-row kernels: log c is looked up once per row, not once per element.
+
+    def scale_row(self, c: int, row: list[int]) -> list[int]:
+        """c * row, elementwise."""
+        if c == 0:
+            return [0] * len(row)
+        exp, log, lc = self.exp, self.log, self.log[c]
+        return [exp[lc + log[y]] if y else 0 for y in row]
+
+    def addmul_row(self, acc: list[int], c: int, row: list[int]) -> list[int]:
+        """acc + c * row, elementwise, as a new list."""
+        if c == 0:
+            return list(acc)
+        exp, log, lc = self.exp, self.log, self.log[c]
+        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(acc, row)]
+
 
 @lru_cache(maxsize=None)
 def field_create(m: int, poly: int | None = None) -> GF:

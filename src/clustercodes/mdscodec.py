@@ -69,32 +69,32 @@ def vec_mat(gf: GF, v: list[int], m: Matrix) -> list[int]:
     return out
 
 
-def _row_reduce(gf: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _row_reduce(gf: GF, rows: list[list[int]],
+                pivot_cols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form in the first pivot_cols columns, each row
+    operation applied to the whole row; returns (rows, pivot column list)."""
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(n_cols):
+    for c in range(pivot_cols):
+        if r == n_rows:
+            break
         pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = gf.inv(rows[r][c])
-        rows[r] = [gf.mul(inv, x) for x in rows[r]]
+        prow = rows[r] = gf.scale_row(gf.inv(rows[r][c]), rows[r])
         for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x ^ gf.mul(f, y) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = gf.addmul_row(rows[i], f, prow)
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
     return rows, pivots
 
 
 def mat_rank(gf: GF, m: Matrix) -> int:
-    _, pivots = _row_reduce(gf, [row[:] for row in m.data])
+    _, pivots = _row_reduce(gf, [row[:] for row in m.data], m.cols)
     return len(pivots)
 
 
@@ -104,8 +104,10 @@ class SolveResult:
 
     solution is None when the system is inconsistent; free_cols lists the
     non-pivot columns (nonempty means the solution shown is one of a family).
+    For a block b the solution is a block too, and the system is consistent
+    only when every column of b is.
     """
-    solution: list[int] | None
+    solution: list[int] | Matrix | None
     rank: int
     free_cols: list[int] = field(default_factory=list)
 
@@ -122,27 +124,32 @@ class SolveResult:
         return self.consistent and not self.free_cols
 
 
-def mat_solve(gf: GF, a: Matrix, b: list[int]) -> SolveResult:
-    if len(b) != a.rows:
-        raise ParamError(f"rhs length {len(b)} does not match {a.rows} rows")
-    aug = [row[:] + [b[i]] for i, row in enumerate(a.data)]
-    aug, pivots = _row_reduce(gf, aug)
-    if a.cols in pivots:
-        # pivot in the augmented column: 0 = nonzero
-        return SolveResult(None, len(pivots) - 1, [])
-    x = [0] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][a.cols]
+def mat_solve(gf: GF, a: Matrix, b: list[int] | Matrix) -> SolveResult:
+    """Solve A x = b for a vector b, or for a Matrix block b with one
+    right-hand side per column in a single elimination (a vector is the
+    one-column block)."""
+    block = isinstance(b, Matrix)
+    rhs, width = (b.data, b.cols) if block else ([[x] for x in b], 1)
+    if len(rhs) != a.rows:
+        raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
+    aug, pivots = _row_reduce(gf, [row + r for row, r in zip(a.data, rhs)], a.cols)
+    rank = len(pivots)
+    if any(any(row[a.cols:]) for row in aug[rank:]):
+        return SolveResult(None, rank, [])  # some row reads 0 = nonzero
+    x = [[0] * width for _ in range(a.cols)]
+    for row, c in zip(aug, pivots):
+        x[c] = row[a.cols:]
     free = [c for c in range(a.cols) if c not in pivots]
-    return SolveResult(x, len(pivots), free)
+    return SolveResult(Matrix(a.cols, width, x) if block else [row[0] for row in x],
+                       rank, free)
 
 
 def mat_inv(gf: GF, m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ParamError("only square matrices can be inverted")
     aug = [row[:] + Matrix.identity(m.rows).data[i] for i, row in enumerate(m.data)]
-    aug, pivots = _row_reduce(gf, aug)
-    if len(pivots) < m.rows or any(c >= m.rows for c in pivots):
+    aug, pivots = _row_reduce(gf, aug, m.cols)
+    if len(pivots) < m.rows:
         raise ParamError("matrix is singular")
     return Matrix(m.rows, m.cols, [row[m.rows:] for row in aug])
 
@@ -203,16 +210,23 @@ def rs_encode(code: RsCode, message: list[int]) -> list[int]:
     return vec_mat(code.gf, message, code.generator)
 
 
-def rs_decode(code: RsCode, shares: list[tuple[int, int]]) -> list[int]:
+def rs_decode(code: RsCode,
+              shares: list[tuple[int, int | list[int]]]) -> list[int] | list[list[int]]:
     """Recover the message from shares [(coordinate, value)], coordinate 1-based.
 
-    Needs k_in distinct coordinates; any surplus shares are checked against
-    the decoded codeword and a disagreement raises InconsistentSharesError.
+    A value is one symbol, or a list of one symbol per instance: a block of
+    instances decoded by one elimination, whose message is then a list of
+    per-instance lists, one per message symbol. Needs k_in distinct
+    coordinates; duplicate and surplus shares are checked against the
+    decoded codeword in every instance, and a disagreement raises
+    InconsistentSharesError.
     """
-    seen: dict[int, int] = {}
+    block = bool(shares) and not isinstance(shares[0][1], int)
+    seen: dict[int, list[int]] = {}
     for coord, val in shares:
         if not 1 <= coord <= code.n_out:
             raise ParamError(f"coordinate {coord} outside [1, {code.n_out}]")
+        val = list(val) if block else [val]
         if coord in seen and seen[coord] != val:
             raise InconsistentSharesError(f"conflicting values for coordinate {coord}")
         seen[coord] = val
@@ -220,20 +234,22 @@ def rs_decode(code: RsCode, shares: list[tuple[int, int]]) -> list[int]:
         raise InsufficientDataError(
             f"{len(seen)} distinct coordinates given, need {code.k_in}"
         )
+    width = len(shares[0][1]) if block else 1
     coords = sorted(seen)
     base = coords[:code.k_in]
     sub = code.generator.take_columns([c - 1 for c in base])
-    res = mat_solve(code.gf, sub.transpose(), [seen[c] for c in base])
-    message = res.solution  # unique: Vandermonde submatrix is invertible
+    res = mat_solve(code.gf, sub.transpose(), Matrix(code.k_in, width, [seen[c] for c in base]))
+    message = res.solution.data  # unique: Vandermonde submatrix is invertible
+    gen = code.generator.data
     for c in coords[code.k_in:]:
-        predicted = 0
+        predicted = [0] * width
         for i in range(code.k_in):
-            predicted ^= code.gf.mul(message[i], code.generator.data[i][c - 1])
+            predicted = code.gf.addmul_row(predicted, gen[i][c - 1], message[i])
         if predicted != seen[c]:
             raise InconsistentSharesError(
                 f"share at coordinate {c} disagrees with decoded message"
             )
-    return message
+    return message if block else [row[0] for row in message]
 
 
 class ProductMatrixMsr:

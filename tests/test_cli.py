@@ -249,6 +249,33 @@ def test_unknown_code_kind_exit_3(tmp_path, capsys):
     assert "unknown code kind" in err
 
 
+# config edits that give chi or expect the wrong type
+BAD_CONFIG_EDITS = {
+    "chi-string": {"chi": "3"},
+    "chi-float": {"chi": 3.0},
+    "chi-bool": {"chi": True},
+    "expect-int": {"expect": 5},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CONFIG_EDITS)
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_bad_config_types_exit_3(tmp_path, capsys, edit, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3,
+                               **BAD_CONFIG_EDITS[edit]}))
+    if command == "verify":
+        argv = ["verify", "--config", str(cfg)]
+    else:
+        src = tmp_path / "src.bin"
+        src.write_bytes(bytes(range(18)))  # M = 18 at chi = 3
+        argv = ["build", "--config", str(cfg), "--source", str(src),
+                "--out", str(tmp_path / "p.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
+
+
 # one small reference system per kind: its build flags and file size M
 KIND_SYSTEMS = {
     "mbr0": (["--n", "6", "--k", "3", "--L", "2"], 3),
@@ -370,3 +397,29 @@ def test_dump_generator_encodes_the_placement(tmp_path, capsys, kind):
     stored = {s["idx"]: int(s["val_hex"], 16)
               for e in json.loads(place.read_text())["nodes"] for s in e["symbols"]}
     assert stored == {i + 1: val for i, val in enumerate(word)}
+
+
+@pytest.mark.parametrize("kind", KIND_SYSTEMS)
+def test_last_instance_corruption_caught(tmp_path, capsys, kind):
+    """One in-field flip in the last of s = 8 instances, on a symbol a decoding
+    component reads: decoding from every node notices it."""
+    from clustercodes import codes
+    from clustercodes.errors import InconsistentSharesError
+    from clustercodes.placement import load_json, placement_from_obj
+    s = 8
+    _, place = build_kind(tmp_path, capsys, kind, s)
+    obj = json.loads(place.read_text())
+    p = placement_from_obj(obj)
+    con = codes.construction(p.kind, p.topology, p.gf, p.params)
+    read = next(comp for comp in con.components if comp.decodes).idx[0]
+    target = (s - 1) * con.params["theta"] + read
+    sym = next(x for e in obj["nodes"] for x in e["symbols"] if x["idx"] == target)
+    sym["val_hex"] = f"{int(sym['val_hex'], 16) ^ 1:0{len(sym['val_hex'])}x}"
+    place.write_text(json.dumps(obj))
+    bad = placement_from_obj(load_json(place.read_text()))
+    with pytest.raises(InconsistentSharesError):
+        codes.reconstruct(bad, list(bad.topology.nodes()))
+    _, reconstruct = load_commands(tmp_path, place)
+    code, _, err = run(capsys, *reconstruct)
+    assert code == 1, err
+    assert "Traceback" not in err

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from clustercodes import codes
 from clustercodes.codes import build, declared_params, reconstruct, repair
 from clustercodes.galois import field_create
 from clustercodes.mdscodec import ProductMatrixMsr
@@ -64,3 +65,31 @@ def test_wrapped_matches_product_matrix_reference():
         assert {val for _, val in syms} == {base.repair_symbol(u, content[u], f)}
         received[u] = syms[0][1]
     assert [val for _, val in regenerated] == base.regenerate(f, received)
+
+
+@pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
+def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
+    """A reconstruct decodes every instance with one rs_decode or mat_solve
+    call per decoding component, whatever the instance count."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(codes, "mat_solve", counted(codes.mat_solve))
+    monkeypatch.setattr(codes, "rs_decode", counted(codes.rs_decode))
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    contact = nodes_realizing(top, omega_star(top))
+    for s in (1, 64):
+        rng = Random(s)
+        source = [rng.randrange(256) for _ in range(s * m_size)]
+        p = build(kind, top, source, GF8, **ratio)
+        decoding = sum(comp.decodes for comp in
+                       codes.construction(kind, top, GF8, p.params).components)
+        calls.clear()
+        assert reconstruct(p, contact) == source
+        assert len(calls) == decoding, (s, calls)

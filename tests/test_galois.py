@@ -104,3 +104,16 @@ def test_div_inverts_mul():
 def test_field_create_cached_and_equal():
     assert field_create(8) is field_create(8)
     assert field_create(8) == GF(8, 0x11D)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_row_kernels_match_mul(m, data):
+    gf = field_create(m)
+    elem = st.integers(0, gf.order - 1)
+    c = data.draw(elem)
+    row = data.draw(st.lists(elem, max_size=12))
+    acc = data.draw(st.lists(elem, min_size=len(row), max_size=len(row)))
+    assert gf.scale_row(c, row) == [gf.mul(c, y) for y in row]
+    assert gf.addmul_row(acc, c, row) == [x ^ gf.mul(c, y) for x, y in zip(acc, row)]

@@ -2,6 +2,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clustercodes.errors import (InconsistentSharesError, InsufficientDataError,
                                  ParamError)
@@ -13,6 +15,7 @@ from clustercodes.mdscodec import (Matrix, generator_min_distance, mat_mul,
 from oracles import det
 
 GF8 = field_create(8)
+GF16 = field_create(16)
 
 
 def test_rs_create_dimensions():
@@ -163,3 +166,91 @@ def test_decode_roundtrip_all_subsets(n_out, k_in):
     word = rs_encode(code, msg)
     for subset in combinations(range(1, n_out + 1), k_in):
         assert rs_decode(code, [(c, word[c - 1]) for c in subset]) == msg
+
+
+# ------------------------------------------- block right-hand sides
+
+def _block_system(draw, gf, shape):
+    """A (rows x cols) system and a block of rhs columns: 'full-rank' is a
+    random square system, 'singular' repeats the first row of A last and takes
+    B = A X, and 'inconsistent' is 'singular' with one column of B broken."""
+    elem = st.integers(0, gf.order - 1)
+    rows = draw(st.integers(2, 6))
+    cols = rows if shape == "full-rank" else draw(st.integers(1, 6))
+    width = draw(st.integers(1, 5))
+    a = [draw(st.lists(elem, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if shape == "full-rank":
+        b = Matrix(rows, width, [draw(st.lists(elem, min_size=width, max_size=width))
+                                 for _ in range(rows)])
+        return Matrix(rows, cols, a), b
+    a[-1] = list(a[0])
+    x = Matrix(cols, width, [draw(st.lists(elem, min_size=width, max_size=width))
+                             for _ in range(cols)])
+    b = mat_mul(gf, Matrix(rows, cols, a), x)
+    if shape == "inconsistent":
+        b.data[-1][draw(st.integers(0, width - 1))] ^= draw(st.integers(1, gf.order - 1))
+    return Matrix(rows, cols, a), b
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@pytest.mark.parametrize("shape", ["full-rank", "singular", "inconsistent"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_solve_equals_column_solves(gf, shape, data):
+    a, b = _block_system(data.draw, gf, shape)
+    if shape == "full-rank":
+        assume(mat_rank(gf, a) == a.rows)
+    block = mat_solve(gf, a, b)
+    per_column = [mat_solve(gf, a, b.column(j)) for j in range(b.cols)]
+    assert all(res.rank == block.rank for res in per_column)
+    assert block.consistent == all(res.consistent for res in per_column)
+    assert block.consistent == (shape != "inconsistent")
+    if not block.consistent:
+        assert block.solution is None and block.free_cols == []
+        return
+    assert all(res.free_cols == block.free_cols for res in per_column)
+    assert [block.solution.column(j) for j in range(b.cols)] == \
+        [res.solution for res in per_column]
+    assert mat_mul(gf, a, block.solution).data == b.data
+
+
+def _instances(gf, n_out, k_in, s, seed):
+    """A (n_out, k_in) code and the codewords of s random messages."""
+    rng = Random(seed)
+    code = rs_create(n_out, k_in, gf)
+    msgs = [[rng.randrange(gf.order) for _ in range(k_in)] for _ in range(s)]
+    return code, msgs, [rs_encode(code, msg) for msg in msgs]
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rs_block_decode_equals_instance_decodes(gf, data):
+    n_out = data.draw(st.integers(2, 10))
+    k_in = data.draw(st.integers(1, n_out))
+    s = data.draw(st.integers(1, 6))
+    code, msgs, words = _instances(gf, n_out, k_in, s, data.draw(st.integers(0, 99)))
+    coords = data.draw(st.lists(st.integers(1, n_out), min_size=k_in, max_size=2 * n_out)
+                       .filter(lambda cs: len(set(cs)) >= k_in))
+    block = rs_decode(code, [(c, [w[c - 1] for w in words]) for c in coords])
+    per_instance = [rs_decode(code, [(c, w[c - 1]) for c in coords]) for w in words]
+    assert per_instance == msgs
+    assert block == [list(col) for col in zip(*per_instance)]
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@pytest.mark.parametrize("fault", ["duplicate", "surplus"])
+def test_rs_block_checks_the_last_instance(gf, fault):
+    """Three distinct coordinates of a (7, 3) code, so a conflicting copy is
+    caught by the duplicate check alone, or four, with the fourth off."""
+    code, _, words = _instances(gf, 7, 3, 8, seed=4)
+    coords = (1, 2, 3) if fault == "duplicate" else (1, 2, 3, 4)
+    shares = [(c, [w[c - 1] for w in words]) for c in coords]
+    bad = list(shares[-1][1])
+    bad[-1] ^= 1
+    if fault == "duplicate":
+        shares.append((coords[-1], bad))
+    else:
+        shares[-1] = (coords[-1], bad)
+    with pytest.raises(InconsistentSharesError):
+        rs_decode(code, shares)
