@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import xor
-from typing import Any
+from itertools import chain
+from numbers import Rational
+from typing import Any, NamedTuple
 
 from . import mbr, msr
 from .capacity import (derive, mbr_filesize_pos, mbr_filesize_zero,
@@ -18,12 +18,16 @@ from .construction import Construction, RepairPlan
 from .errors import (FormatError, InconsistentSharesError, InsufficientDataError,
                      ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
-from .mdscodec import Matrix, mat_solve, rs_decode, rs_encode, vec_mat
+from .mdscodec import LinearMap, Matrix, mat_solve, rs_decode, rs_encode
 from .placement import KINDS, Holding, Placement, RepairTranscript
 from .topology import ClusterTopology, NodeId
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
+    """A 'p/q' string or a rational number as an exact Fraction; anything
+    else, floats included, is a ParamError."""
+    if not isinstance(text, (str, Rational)):
+        raise ParamError(f"not an exact rational: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -135,21 +139,34 @@ def _construction(kind: str, top: ClusterTopology, gf: GF, chi: int | None,
                                         parity_weights=weights))
 
 
+@lru_cache(maxsize=32)
+def _maps(con: Construction, gf: GF) -> tuple[LinearMap | None, ...]:
+    """Per component, the compiled map of a generator that is not a
+    Reed-Solomon code's; those encode through rs_encode."""
+    return tuple(None if comp.rs else LinearMap(gf, comp.generator)
+                 for comp in con.components)
+
+
+def _interleave(columns: list[list[int]], idxs: tuple[int, ...], s: int,
+                theta: int) -> Holding:
+    """The holding of a node storing symbol idxs[r] with value columns[r][inst]
+    in each instance, instance-major in layout order."""
+    return list(zip(_indices(idxs, s, theta), chain.from_iterable(zip(*columns))))
+
+
 def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holding]:
+    """Each component encodes all s instances in one call, on the block of its
+    source symbols' per-instance values."""
     theta, m_size = con.params["theta"], con.params["M"]
-    holdings: dict[NodeId, Holding] = {node: [] for node in con.layout}
-    word = [0] * (theta + 1)
-    for inst in range(len(source) // m_size):
-        msg = source[inst * m_size:(inst + 1) * m_size]
-        for comp in con.components:
-            part = msg[comp.msg]
-            vals = rs_encode(comp.rs, part) if comp.rs else vec_mat(gf, part, comp.generator)
-            for i, val in zip(comp.idx, vals):
-                word[i] = val
-        base = inst * theta
-        for node, idxs in con.layout.items():
-            holdings[node] += [(base + i, word[i]) for i in idxs]
-    return holdings
+    s = len(source) // m_size
+    stripes = [source[r::m_size] for r in range(m_size)]
+    word: list[list[int]] = [[]] * (theta + 1)  # symbol -> its value in each instance
+    for comp, lin in zip(con.components, _maps(con, gf)):
+        block = stripes[comp.msg]
+        for i, col in zip(comp.idx, rs_encode(comp.rs, block) if comp.rs else lin(block)):
+            word[i] = col
+    return {node: _interleave([word[i] for i in idxs], idxs, s, theta)
+            for node, idxs in con.layout.items()}
 
 
 def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
@@ -161,6 +178,8 @@ def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
     if not source or len(source) % params["M"]:
         raise ParamError(
             f"source length {len(source)} is not a positive multiple of M={params['M']}")
+    if min(source) < 0 or max(source) >= gf.order:
+        raise ParamError(f"source holds a value outside GF(2^{gf.m})")
     params |= TABLE[kind][1](top, gf)
     con = construction(kind, top, gf, params)
     params |= {"epsilon": str(params["epsilon"]), "s": len(source) // params["M"]}
@@ -267,31 +286,55 @@ def check_params(p: Placement) -> None:
                                   f"of GF(2^{p.gf.m})")
 
 
+class _Repair(NamedTuple):
+    """A repair plan with its arithmetic compiled into linear maps."""
+    plan: RepairPlan
+    mixers: tuple[NodeId, ...]  # the helpers that send combinations, in plan order
+    mix: LinearMap  # their stored symbols, alpha per mixer -> each combination send
+    solve: LinearMap  # the received vector -> lost * y, per equation
+
+
 @lru_cache(maxsize=256)
-def _plan(con: Construction, failed: NodeId) -> RepairPlan:
-    return con.repair_plan(failed)
+def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
+    plan = con.repair_plan(failed)
+    alpha = con.params["alpha"]
+    combos = [(h, send[0]) for h, sends in plan.sends.items() for send in sends
+              if not isinstance(send, int)]
+    mixers = tuple(dict.fromkeys(h for h, _ in combos))
+    mix = [[0] * len(combos) for _ in range(len(mixers) * alpha)]
+    for col, (h, coeffs) in enumerate(combos):
+        for a, c in enumerate(coeffs):
+            mix[mixers.index(h) * alpha + a][col] = c
+    width = sum(len(sends) for sends in plan.sends.values())
+    solve = [[0] * len(plan.decode) for _ in range(width)]
+    for col, (_, row) in enumerate(plan.decode):
+        for r, c in row:
+            solve[r][col] ^= c
+    return _Repair(plan, mixers, LinearMap(gf, Matrix(len(mix), len(combos), mix)),
+                   LinearMap(gf, Matrix(width, len(plan.decode), solve)))
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
     """Run the repair plan for `failed` on every instance: the transcript of
     what each of the n-1 helpers sent, and the regenerated holding."""
     con, s = _engine(p, [failed])
-    plan = _plan(con, failed)
-    theta, alpha, mul = con.params["theta"], con.params["alpha"], p.gf.mul
+    plan, mixers, mix, _ = _plan(con, p.gf, failed)
+    theta, alpha = con.params["theta"], con.params["alpha"]
     senders = [h for h, sends in plan.sends.items() if sends]
+    content = dict(zip(senders, _content(p, con, senders, s)))
+    mixed = iter(mix([content[h][1][a::alpha] for h in mixers for a in range(alpha)])
+                 if mixers else ())
     contributions: dict[NodeId, list[tuple[int | None, int]]] = {h: [] for h in plan.sends}
-    for helper, (idxs, vals) in zip(senders, _content(p, con, senders, s)):
-        where = {i: r for r, i in enumerate(idxs)}
+    for helper in senders:
+        idxs, vals = content[helper]
         columns = []  # per send and copy: the (index, value) it sends in each instance
         for send in plan.sends[helper]:
             if isinstance(send, int):
+                r = idxs.index(send)
                 columns.append(list(zip(range(send, send + s * theta, theta),
-                                        vals[where[send]::alpha])))
-                continue
-            col = [0] * s
-            for a, c in enumerate(send[0]):
-                col = [x ^ mul(c, v) for x, v in zip(col, vals[a::alpha])]
-            columns += [[(None, v) for v in col]] * send[1]
+                                        vals[r::alpha])))
+            else:
+                columns += [[(None, v) for v in next(mixed)]] * send[1]
         contributions[helper] = [x for row in zip(*columns) for x in row]
     transcript = RepairTranscript(failed, contributions, s * con.params["beta_i"],
                                   s * con.params["beta_c"],
@@ -302,7 +345,7 @@ def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
 def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
     """Rebuild the failed node's holding from transcript contents alone."""
     con, s = _engine(p, [transcript.failed])
-    plan, theta, gf = _plan(con, transcript.failed), con.params["theta"], p.gf
+    plan, _, _, solve = _plan(con, p.gf, transcript.failed)
     received = []  # per entry of the received vector: its value in each instance
     for helper, sends in plan.sends.items():
         if not sends:
@@ -319,13 +362,10 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
         _, vals = zip(*syms)
         received += [vals[f::width] for f in firsts]
     columns = []
-    for i, (lost, row) in zip(con.layout[transcript.failed], plan.decode):
-        acc = [0] * s
-        for r, c in row:
-            acc = (list(map(xor, acc, received[r])) if c == 1 else
-                   [a ^ gf.mul(c, x) for a, x in zip(acc, received[r])])
-        columns.append(list(zip(range(i, i + s * theta, theta), map(gf.div, acc, repeat(lost)))))
-    return [x for row in zip(*columns) for x in row]
+    for (lost, _), col in zip(plan.decode, solve(received)):
+        inv = p.gf.div(1, lost)
+        columns.append(col if inv == 1 else p.gf.scale_row(inv, col))
+    return _interleave(columns, con.layout[transcript.failed], s, con.params["theta"])
 
 
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
@@ -380,6 +420,15 @@ def parse_config(obj: dict) -> dict[str, Any]:
             raise FormatError(f"config chi {chi!r} is not an integer")
         if type(expect) is not dict:
             raise FormatError(f"config expect {expect!r} is not an object")
+        if "epsilon" in expect:
+            try:
+                parse_rational(expect["epsilon"])
+            except ParamError as e:
+                raise FormatError(f"config expect epsilon {expect['epsilon']!r} is not "
+                                  f"an exact rational") from e
+        if "epsilon" in obj and not isinstance(obj["epsilon"], (str, int)):
+            raise FormatError(f"config epsilon {obj['epsilon']!r} is not a 'p/q' string "
+                              f"or an integer")
         epsilon = parse_rational(obj["epsilon"]) if "epsilon" in obj else None
         if "field" in obj:
             fobj = obj["field"]

@@ -1,10 +1,14 @@
-"""Matrix algebra over GF(2^m) and the classical codes the clustered
+"""Matrix algebra over GF(2^m), the block kernel that applies a fixed matrix
+to many instances at once, and the classical codes the clustered
 constructions build on: a Vandermonde Reed-Solomon codec and the
 product-matrix minimum-storage code."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import InconsistentSharesError, InsufficientDataError, ParamError
@@ -67,6 +71,150 @@ def vec_mat(gf: GF, v: list[int], m: Matrix) -> list[int]:
             if row[j]:
                 out[j] ^= gf.mul(x, row[j])
     return out
+
+
+_IDENTITY = bytes(range(256))
+_ZERO = bytes(256)
+_TYPECODE = {1: "B", 2: "H"}  # array item of a w-byte symbol (m <= 16)
+
+
+def _to_bytes(vals, w: int) -> bytes:
+    """Symbols as little-endian w-byte items."""
+    if w == 1:
+        return bytes(vals)
+    arr = array(_TYPECODE[w], vals)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
+
+
+@lru_cache(maxsize=1024)
+def byte_tables(gf: GF, c: int) -> tuple[bytes, ...]:
+    """Multiplication by c as bytes.translate tables, built through gf.mul: a
+    symbol of w = ceil(m/8) bytes is w byte planes (plane p is bits 8p..8p+7),
+    and table p*w + q maps plane p of x to plane q of c*x. The cache holds
+    every table of GF(2^8) in about 74 KB, and a working set of GF(2^16)."""
+    w = -(-gf.m // 8)
+    tables = []
+    for p in range(w):
+        # c * x is linear in x: span the products of the plane's eight bits
+        prods = [0]
+        for bit in range(8 * p, 8 * p + 8):
+            step = gf.mul(c, 1 << bit) if 1 << bit < gf.order else 0
+            prods += [y ^ step for y in prods]
+        raw = _to_bytes(prods, w)
+        tables += [raw[q::w] for q in range(w)]
+    return tuple(tables)
+
+
+@lru_cache(maxsize=4)
+def value_tables(gf: GF) -> tuple[bytes, ...]:
+    """For single-byte symbols (m <= 8), entry v maps x to v*x, for every
+    field element v; built at once on first use, so that no op that follows
+    pays for a table."""
+    return tuple(byte_tables(gf, v)[0] for v in range(gf.order))
+
+
+def _from_planes(planes: list[int], n: int, w: int) -> list[int]:
+    """n symbols from their w byte planes, each given as a little-endian int."""
+    if w == 1:
+        return list(planes[0].to_bytes(n, "little"))
+    buf = bytearray(n * w)
+    for q, plane in enumerate(planes):
+        buf[q::w] = plane.to_bytes(n, "little")
+    arr = array(_TYPECODE[w], buf)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tolist()
+
+
+class LinearMap:
+    """x -> x G for a fixed matrix G over GF(2^m), m <= 16, applied to a block
+    of instances: block[t] holds source symbol t's value in each of s
+    instances, and the result holds, per column j of G, coordinate j's value
+    in each instance.
+
+    The work runs along the longer axis. When s is at least G's column count,
+    each source symbol is a stripe of s symbols split into byte planes, and a
+    column is the XOR, as big ints, of its nonzero terms' stripes mapped
+    through their coefficients' byte tables by bytes.translate; the terms and
+    tables are compiled once per map. For fewer instances each instance's
+    codeword is the sum over t of x_t times row t of G: over GF(2^8) row t as
+    bytes mapped through x_t's table (value_tables), over wider fields the
+    row's logarithms, looked up once per map, so no table grows with a field
+    order above 2^8.
+    """
+
+    def __init__(self, gf: GF, g: Matrix):
+        self.gf, self.matrix = gf, g
+        self.width = -(-gf.m // 8)
+
+    @cached_property
+    def _stripe_terms(self) -> list[list[tuple[int, bytes | None, int]]]:
+        """Per column: (input plane t*w + p, table or None for a copy, output
+        plane q) for every nonzero plane product of a nonzero coefficient."""
+        w, data = self.width, self.matrix.data
+        terms = []
+        for j in range(self.matrix.cols):
+            col = []
+            for t, row in enumerate(data):
+                if row[j]:
+                    tables = byte_tables(self.gf, row[j])
+                    col += [(t * w + p, None if tab == _IDENTITY else tab, q)
+                            for p in range(w) for q in range(w)
+                            if (tab := tables[p * w + q]) != _ZERO]
+            terms.append(col)
+        return terms
+
+    @cached_property
+    def _row_terms(self) -> list:
+        """Per row of G: its bytes over GF(2^8); otherwise its nonzero
+        (column, log coefficient) pairs."""
+        if self.width == 1:
+            return [bytes(row) for row in self.matrix.data]
+        log = self.gf.log
+        return [[(j, log[c]) for j, c in enumerate(row) if c] for row in self.matrix.data]
+
+    def __call__(self, block: list[list[int]]) -> list[list[int]]:
+        g = self.matrix
+        if len(block) != g.rows:
+            raise ParamError(f"block of {len(block)} source symbols does not match "
+                             f"{g.rows} rows")
+        if len(set(map(len, block))) > 1:
+            raise ParamError("source symbols of a block differ in instance count")
+        s = len(block[0]) if block else 0
+        if 0 < s < g.cols:
+            return list(map(list, zip(*map(self._one, zip(*block)))))
+        return self._by_stripe(block, s)
+
+    def _by_stripe(self, block: list[list[int]], s: int) -> list[list[int]]:
+        w, frm = self.width, int.from_bytes
+        planes = [raw[p::w] for raw in (_to_bytes(x, w) for x in block) for p in range(w)]
+        ints = [frm(plane, "little") for plane in planes]
+        out = []
+        for terms in self._stripe_terms:
+            acc = [0] * w
+            for src, tab, q in terms:
+                acc[q] ^= ints[src] if tab is None else frm(planes[src].translate(tab), "little")
+            out.append(_from_planes(acc, s, w))
+        return out
+
+    def _one(self, x: tuple[int, ...]) -> list[int]:
+        """One instance's codeword."""
+        cols, gf = self.matrix.cols, self.gf
+        if self.width == 1:
+            acc, frm, tables = 0, int.from_bytes, value_tables(gf)
+            for row, v in zip(self._row_terms, x):
+                if v:
+                    acc ^= frm(row.translate(tables[v]), "little")
+            return list(acc.to_bytes(cols, "little"))
+        exp, log, out = gf.exp, gf.log, [0] * cols
+        for terms, v in zip(self._row_terms, x):
+            if v:
+                lv = log[v]
+                for j, lc in terms:
+                    out[j] ^= exp[lv + lc]
+        return out
 
 
 def _row_reduce(gf: GF, rows: list[list[int]],
@@ -182,6 +330,10 @@ class RsCode:
     eval_points: tuple[int, ...]
     generator: Matrix
     systematic: bool = False
+    map: LinearMap = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.map = LinearMap(self.gf, self.generator)
 
 
 def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
@@ -204,10 +356,17 @@ def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
     return RsCode(n_out, k_in, gf, tuple(points), gen, systematic)
 
 
-def rs_encode(code: RsCode, message: list[int]) -> list[int]:
+def rs_encode(code: RsCode,
+              message: list[int] | list[list[int]]) -> list[int] | list[list[int]]:
+    """The codeword of a message of k_in symbols. A message symbol may be a
+    list of one symbol per instance: the block of instances is encoded at
+    once, and the codeword is then a list of per-instance lists, one per
+    coordinate."""
     if len(message) != code.k_in:
         raise ParamError(f"message length {len(message)} != k_in={code.k_in}")
-    return vec_mat(code.gf, message, code.generator)
+    if isinstance(message[0], int):
+        return [col[0] for col in code.map([[x] for x in message])]
+    return code.map(message)
 
 
 def rs_decode(code: RsCode,

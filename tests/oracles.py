@@ -80,3 +80,55 @@ def majorizes(a, b) -> bool:
         if acc_a < acc_b:
             return False
     return True
+
+
+def ref_encode(con, gf, source: list[int]) -> dict:
+    """Per-element encoder of a construction: one instance at a time, each
+    coordinate a sum of gf.mul products, as the engine encoded before it
+    worked on blocks."""
+    theta, m_size = con.params["theta"], con.params["M"]
+    holdings = {node: [] for node in con.layout}
+    for inst in range(len(source) // m_size):
+        msg = source[inst * m_size:(inst + 1) * m_size]
+        word = {}
+        for comp in con.components:
+            part = msg[comp.msg]
+            for c, i in enumerate(comp.idx):
+                val = 0
+                for t, x in enumerate(part):
+                    val ^= gf.mul(x, comp.generator.data[t][c])
+                word[i] = val
+        for node, idxs in con.layout.items():
+            holdings[node] += [(inst * theta + i, word[i]) for i in idxs]
+    return holdings
+
+
+def ref_repair(con, gf, holdings: dict, failed, s: int) -> tuple[dict, list]:
+    """Per-element repair of `failed` from a construction's plan, one instance
+    at a time: (what each helper sends, the regenerated holding)."""
+    theta, alpha = con.params["theta"], con.params["alpha"]
+    plan = con.repair_plan(failed)
+    sent = {h: [] for h in plan.sends}
+    rebuilt = []
+    for inst in range(s):
+        base, received = inst * theta, []
+        for h, sends in plan.sends.items():
+            mine = [val for _, val in holdings[h][inst * alpha:(inst + 1) * alpha]]
+            value = dict(zip(con.layout[h], mine))
+            for send in sends:
+                if isinstance(send, int):
+                    sent[h].append((base + send, value[send]))
+                    received.append(value[send])
+                    continue
+                coeffs, copies = send
+                val = 0
+                for c, x in zip(coeffs, mine):
+                    val ^= gf.mul(c, x)
+                sent[h] += [(None, val)] * copies
+                received.append(val)
+        for i, (lost, row) in zip(con.layout[failed], plan.decode):
+            acc = 0
+            for r, c in row:
+                acc ^= gf.mul(c, received[r])
+            rebuilt.append((base + i, gf.div(acc, lost)))
+    return sent, rebuilt

@@ -249,12 +249,13 @@ def test_unknown_code_kind_exit_3(tmp_path, capsys):
     assert "unknown code kind" in err
 
 
-# config edits that give chi or expect the wrong type
+# config edits that give chi, expect or expect's epsilon the wrong type
 BAD_CONFIG_EDITS = {
     "chi-string": {"chi": "3"},
     "chi-float": {"chi": 3.0},
     "chi-bool": {"chi": True},
     "expect-int": {"expect": 5},
+    "expect-epsilon-list": {"expect": {"epsilon": [1]}},
 }
 
 

@@ -1,6 +1,8 @@
 """The shared engine in codes: linearity certificates on the six reference
-systems, and the wrapped construction against its product-matrix reference."""
+systems, the wrapped construction against its product-matrix reference, and
+block encoding and repair against per-element references."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -8,12 +10,16 @@ import pytest
 
 from clustercodes import codes
 from clustercodes.codes import build, declared_params, reconstruct, repair
+from clustercodes.errors import ParamError
 from clustercodes.galois import field_create
 from clustercodes.mdscodec import ProductMatrixMsr
 from clustercodes.topology import (ClusterTopology, NodeId, node_flat,
                                    nodes_realizing, omega_star)
 
+from oracles import ref_encode, ref_repair
+
 GF8 = field_create(8)
+GF16 = field_create(16)
 
 # (kind, (n, k, L), chi/epsilon) of the acceptance systems, one per kind
 REFERENCE = [
@@ -93,3 +99,83 @@ def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
         calls.clear()
         assert reconstruct(p, contact) == source
         assert len(calls) == decoding, (s, calls)
+
+
+def _instance_counts(theta):
+    """Both sides of the block kernel's orientation rule, and a long block."""
+    return sorted({1, theta - 1, theta, theta + 1, 64})
+
+
+@pytest.mark.parametrize("kind, shape, ratio, gf", [
+    *((kind, shape, ratio, GF8) for kind, shape, ratio in REFERENCE[:6]),
+    ("mbr0", (12, 6, 3), {}, GF16)], ids=lambda x: f"gf{x.m}" if hasattr(x, "m") else None)
+def test_block_engine_matches_per_element_reference(kind, shape, ratio, gf):
+    """Build equals the per-element encoder, and every repair's transcript and
+    regenerated holding equal the per-element repair, whatever the instance
+    count; over GF(2^16) too."""
+    top = ClusterTopology(*shape)
+    params = declared_params(kind, top, **ratio)
+    for s in _instance_counts(params["theta"]):
+        rng = Random(s)
+        source = [rng.randrange(gf.order) for _ in range(s * params["M"])]
+        source[:params["M"]] = [0] * params["M"]  # an all-zero instance
+        p = build(kind, top, source, gf, **ratio)
+        con = codes.construction(kind, top, gf, p.params)
+        assert p.holdings == ref_encode(con, gf, source), s
+        for node in top.nodes():
+            transcript, regenerated = repair(p, node)
+            sent, rebuilt = ref_repair(con, gf, p.holdings, node, s)
+            assert transcript.contributions == sent, (s, node)
+            assert regenerated == rebuilt == p.holdings[node], (s, node)
+
+
+@pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
+def test_one_encode_per_component(monkeypatch, kind, shape, ratio):
+    """A build encodes every instance with one rs_encode call per
+    Reed-Solomon component, whatever the instance count."""
+    calls, original = [], codes.rs_encode
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(codes, "rs_encode", counted)
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    for s in (1, 64):
+        calls.clear()
+        p = build(kind, top, [Random(s).randrange(256) for _ in range(s * m_size)],
+                  GF8, **ratio)
+        components = codes.construction(kind, top, GF8, p.params).components
+        assert len(calls) == sum(comp.rs is not None for comp in components), s
+
+
+@pytest.mark.parametrize("text", [[1], 0.5, None, {"p": 1}])
+def test_parse_rational_rejects_non_rationals(text):
+    with pytest.raises(ParamError):
+        codes.parse_rational(text)
+
+
+@pytest.mark.parametrize("s", [1, 64])
+def test_repair_divides_by_the_lost_coefficient(s):
+    """msr0-nondiv under parity weights other than 1: the equation that
+    rebuilds a data node reads weight * y = sum of the others, so repair
+    must divide by the weight."""
+    top = ClusterTopology(6, 4, 2)
+    source = [Random(s).randrange(256) for _ in range(3 * s)]
+    p = build("msr0-nondiv", top, source, GF8)
+    params = dict(p.params, parity_weights=[3, 7, 5, 9])
+    con = codes.construction("msr0-nondiv", top, GF8, params)
+    p = replace(p, params=params, holdings=ref_encode(con, GF8, source))
+    for node in top.nodes():
+        transcript, regenerated = repair(p, node)
+        sent, rebuilt = ref_repair(con, GF8, p.holdings, node, s)
+        assert transcript.contributions == sent
+        assert regenerated == rebuilt == p.holdings[node], node
+
+
+@pytest.mark.parametrize("value", [-1, 256])
+def test_build_rejects_values_outside_the_field(value):
+    top = ClusterTopology(6, 3, 2)
+    with pytest.raises(ParamError, match="outside"):
+        build("mbr0", top, [1, value, 2] * 4, GF8)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from clustercodes.errors import (InconsistentSharesError, InsufficientDataError,
                                  ParamError)
 from clustercodes.galois import field_create
-from clustercodes.mdscodec import (Matrix, generator_min_distance, mat_mul,
-                                   mat_rank, mat_solve, rs_create, rs_decode,
-                                   rs_encode)
+from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables,
+                                   generator_min_distance, mat_mul, mat_rank,
+                                   mat_solve, rs_create, rs_decode, rs_encode,
+                                   vec_mat)
 
 from oracles import det
 
@@ -56,6 +57,12 @@ def test_encode_length_checks():
     assert len(rs_encode(code, list(range(1, 12)))) == 18
     with pytest.raises(ParamError):
         rs_encode(code, [1] * 10)
+    with pytest.raises(ParamError):
+        rs_encode(code, [[1, 2]] * 10)  # a block of 10 symbols
+    with pytest.raises(ParamError):
+        rs_encode(code, [[1, 2]] * 10 + [[1]])  # one symbol an instance short
+    with pytest.raises(ParamError):
+        LinearMap(GF8, code.generator)([[1]] * 12)
 
 
 def test_repetition_like_single_symbol():
@@ -254,3 +261,64 @@ def test_rs_block_checks_the_last_instance(gf, fault):
         shares[-1] = (coords[-1], bad)
     with pytest.raises(InconsistentSharesError):
         rs_decode(code, shares)
+
+
+# ------------------------------------------------ the block kernel
+
+def _instance_counts(cols):
+    """Both sides of the kernel's orientation rule (per instance below the
+    column count, by stripe from it on) and a long stripe."""
+    return sorted({max(1, cols - 1), cols, cols + 1, 1, 300})
+
+
+def _block(draw, gf, rows, s):
+    """rows stripes of s seeded random symbols; the drawn ones are all zero."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    return [[0] * s if z else [rng.randrange(gf.order) for _ in range(s)] for z in zero]
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_linear_map_equals_instance_products(gf, data):
+    """The kernel against vec_mat, one instance at a time, on matrices that
+    mix zero, unit and arbitrary coefficients."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, gf.order - 1))
+    g = Matrix(rows, cols, [[data.draw(coeff) for _ in range(cols)] for _ in range(rows)])
+    lin = LinearMap(gf, g)
+    for s in _instance_counts(cols):
+        block = _block(data.draw, gf, rows, s)
+        want = [vec_mat(gf, list(x), g) for x in zip(*block)]
+        assert lin(block) == [list(col) for col in zip(*want)], s
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rs_block_encode_equals_instance_encodes(gf, data):
+    n_out = data.draw(st.integers(1, 12))
+    k_in = data.draw(st.integers(1, n_out))
+    code = rs_create(n_out, k_in, gf, systematic=data.draw(st.booleans()))
+    for s in _instance_counts(n_out):
+        block = _block(data.draw, gf, k_in, s)
+        want = [vec_mat(gf, list(msg), code.generator) for msg in zip(*block)]
+        assert [rs_encode(code, list(msg)) for msg in zip(*block)] == want
+        assert rs_encode(code, block) == [list(col) for col in zip(*want)], s
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+def test_byte_tables_are_products(gf):
+    """Table p*w + q maps byte plane p of a symbol to byte plane q of c times it."""
+    w = gf.m // 8
+    rng = Random(gf.m)
+    for c in (0, 1, 2, gf.order - 1, rng.randrange(gf.order)):
+        tables = byte_tables(gf, c)
+        for x in [rng.randrange(gf.order) for _ in range(50)] + [0, 1, gf.order - 1]:
+            planes = [x >> 8 * p & 255 for p in range(w)]
+            got = 0
+            for q in range(w):
+                for p in range(w):
+                    got ^= tables[p * w + q][planes[p]] << 8 * q
+            assert got == gf.mul(c, x), (c, x)
