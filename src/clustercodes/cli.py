@@ -8,7 +8,6 @@ error, 3 I/O or format error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +16,8 @@ from . import codes, harness
 from .capacity import capacity_eval
 from .errors import (FormatError, InconsistentSharesError, ParamError)
 from .galois import field_create
-from .placement import (KINDS, dump_json, load_json, placement_from_obj,
-                        placement_to_obj, transcript_to_obj)
+from .placement import (KINDS, dump_json, hex_symbols, load_json, node_to_obj,
+                        placement_from_obj, placement_to_obj, transcript_to_obj)
 from .topology import ClusterTopology, NodeId
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARAM, EXIT_FORMAT = 0, 1, 2, 3
@@ -53,12 +52,18 @@ def symbols_to_bytes(symbols: list[int], gf) -> bytes:
     return b"".join(s.to_bytes(width, "big") for s in symbols)
 
 
-def _load_placement(path: str):
+def _read(path: str, binary: bool = False) -> str | bytes:
+    """The one reader of input files: their bytes, or with binary False their
+    UTF-8 text; a file that cannot be read or decoded is a FormatError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+        data = Path(path).read_bytes()
+        return data if binary else data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    p = placement_from_obj(load_json(text))
+
+
+def _load_placement(path: str):
+    p = placement_from_obj(load_json(_read(path)))
     codes.check_params(p)
     return p
 
@@ -126,13 +131,8 @@ def cmd_capacity(args) -> int:
 
 
 def _build_config(args) -> dict:
-    obj: dict = {}
-    if args.config:
-        try:
-            obj = load_json(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise FormatError(f"cannot read {args.config}: {e}") from e
-    for key in ("n", "k", "L", "code", "chi", "epsilon", "seed"):
+    obj = load_json(_read(args.config)) if args.config else {}
+    for key in ("n", "k", "L", "code", "chi", "epsilon"):
         val = getattr(args, key, None)
         if val is not None:
             obj[key] = val
@@ -146,18 +146,12 @@ def cmd_build(args) -> int:
     config = codes.parse_config(_build_config(args))
     gf = config["gf"] or codes.default_field(config["kind"], config["topology"],
                                              config["chi"], config["epsilon"])
-    try:
-        data = Path(args.source).read_bytes()
-    except OSError as e:
-        raise FormatError(f"cannot read {args.source}: {e}") from e
-    source = bytes_to_symbols(data, gf)
+    source = bytes_to_symbols(_read(args.source, binary=True), gf)
     p = codes.build(config["kind"], config["topology"], source, gf,
                     config["chi"], config["epsilon"])
     _write(args.out, dump_json(placement_to_obj(p)))
     if args.dump_generator:
-        gen = codes.generator(p)
-        width = p.gf.m // 4
-        rows = (",".join(f"{x:0{width}x}" for x in row) for row in gen.data)
+        rows = (",".join(hex_symbols(row, p.gf)) for row in codes.generator(p).data)
         _write(args.dump_generator, "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -167,10 +161,7 @@ def cmd_repair(args) -> int:
     failed = parse_node(args.node)
     transcript, regenerated = codes.repair(p, failed)
     _write(args.out_transcript, dump_json(transcript_to_obj(transcript, p.gf)))
-    node_obj = {"l": failed.l, "j": failed.j,
-                "symbols": [{"idx": idx, "val_hex": f"{val:0{p.gf.m // 4}x}"}
-                            for idx, val in regenerated]}
-    _write(args.out_node, dump_json(node_obj))
+    _write(args.out_node, dump_json(node_to_obj(failed, regenerated, p.gf)))
     return EXIT_OK
 
 
@@ -192,21 +183,12 @@ def cmd_verify(args) -> int:
     else:
         if not args.config:
             raise ParamError("verify needs --config or --acceptance")
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as e:
-            raise FormatError(f"cannot read {args.config}: {e}") from e
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e}") from e
-        if isinstance(raw, dict):
-            raw = [raw]
-        configs = [codes.parse_config(obj) for obj in raw]
+        raw = load_json(_read(args.config), arrays=True)
+        configs = [codes.parse_config(obj)
+                   for obj in (raw if isinstance(raw, list) else [raw])]
     reports = harness.run_suite(configs)
     objs = [harness.report_to_obj(r) for r in reports]
-    _write(args.out, dump_json(objs[0]) if len(objs) == 1
-           else json.dumps(objs, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dump_json(objs[0] if len(objs) == 1 else objs))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
@@ -265,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=int)
     sp.add_argument("--chi", type=int)
     sp.add_argument("--epsilon")
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--field-m", type=int, dest="field_m")
     sp.add_argument("--field-poly", type=int, dest="field_poly")
     sp.add_argument("--source", required=True, help="raw bytes, one per symbol")

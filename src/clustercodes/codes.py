@@ -19,7 +19,7 @@ from .errors import (FormatError, InconsistentSharesError, InsufficientDataError
                      ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
 from .mdscodec import LinearMap, Matrix, mat_solve, rs_decode, rs_encode
-from .placement import KINDS, Holding, Placement, RepairTranscript
+from .placement import KINDS, Holding, Placement, RepairTranscript, as_int
 from .topology import ClusterTopology, NodeId
 
 
@@ -263,8 +263,8 @@ def check_params(p: Placement) -> None:
     weights that are nonzero field elements. A placement read from a file is
     checked once on load; the engine itself trusts its params."""
     chi, eps = p.params.get("chi"), p.params.get("epsilon")
-    if chi is not None and type(chi) is not int:
-        raise FormatError(f"placement chi {chi!r} is not an integer")
+    if chi is not None:
+        as_int(chi, "placement chi")
     bad_eps = FormatError(f"placement epsilon {eps!r} is not an exact rational 'p/q'")
     if type(eps) is not str:
         raise bad_eps
@@ -411,13 +411,14 @@ def parse_config(obj: dict) -> dict[str, Any]:
     (missing keys, wrong types, unknown kinds) as FormatError.
     """
     try:
-        top = ClusterTopology(int(obj["n"]), int(obj["k"]), int(obj["L"]))
+        top = ClusterTopology(*(as_int(obj[key], f"config {key}")
+                                for key in ("n", "k", "L")))
         kind = obj["code"]
         if kind not in KINDS:
             raise FormatError(f"unknown code kind {kind!r}")
         chi, expect = obj.get("chi"), obj.get("expect", {})
-        if chi is not None and type(chi) is not int:
-            raise FormatError(f"config chi {chi!r} is not an integer")
+        if chi is not None:
+            as_int(chi, "config chi")
         if type(expect) is not dict:
             raise FormatError(f"config expect {expect!r} is not an object")
         if "epsilon" in expect:
@@ -426,17 +427,18 @@ def parse_config(obj: dict) -> dict[str, Any]:
             except ParamError as e:
                 raise FormatError(f"config expect epsilon {expect['epsilon']!r} is not "
                                   f"an exact rational") from e
-        if "epsilon" in obj and not isinstance(obj["epsilon"], (str, int)):
+        if "epsilon" in obj and type(obj["epsilon"]) not in (str, int):
             raise FormatError(f"config epsilon {obj['epsilon']!r} is not a 'p/q' string "
                               f"or an integer")
         epsilon = parse_rational(obj["epsilon"]) if "epsilon" in obj else None
         if "field" in obj:
             fobj = obj["field"]
-            gf = field_create(int(fobj["m"]), int(fobj["poly"]))
+            gf = field_create(as_int(fobj["m"], "config field m"),
+                              as_int(fobj["poly"], "config field poly"))
         else:
             gf = None  # promoted automatically once the code size is known
         return {"topology": top, "kind": kind, "chi": chi, "epsilon": epsilon,
-                "gf": gf, "seed": int(obj.get("seed", 0)),
+                "gf": gf, "seed": as_int(obj.get("seed", 0), "config seed"),
                 "expect": expect}
     except (FormatError, ParamError):
         raise

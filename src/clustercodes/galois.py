@@ -55,8 +55,8 @@ class GF:
     """
 
     def __init__(self, m: int, poly: int):
-        if m < 1:
-            raise ParamError(f"extension degree must be positive, got {m}")
+        if not 1 <= m <= 16:  # the byte kernel packs a symbol in at most two bytes
+            raise ParamError(f"extension degree must be in 1..16, got {m}")
         if poly_degree(poly) != m:
             raise ParamError(
                 f"polynomial {poly:#x} has degree {poly_degree(poly)}, expected {m}"

@@ -55,7 +55,7 @@ def test_capacity_command(capsys):
 
 @pytest.fixture
 def fig4_placement(tmp_path, capsys):
-    source = bytes(Random(0).randrange(256) for _ in range(11))
+    source = Random(0).randbytes(11)
     src = tmp_path / "src.bin"
     src.write_bytes(source)
     place = tmp_path / "place.json"
@@ -201,7 +201,7 @@ def test_sweep_csv(capsys):
 def test_field_promotes_to_gf16_when_theta_large(tmp_path, capsys):
     # n=24, L=1: theta = C(24,2) = 276 > 255, so two bytes per symbol
     src = tmp_path / "src.bin"
-    payload = bytes(Random(3).randrange(256) for _ in range(2 * 86))  # M = 86
+    payload = Random(3).randbytes(2 * 86)  # M = 86
     src.write_bytes(payload)
     place = tmp_path / "p.json"
     code, _, _ = run(capsys, "build", "--code", "mbr0", "--n", "24", "--k", "4",
@@ -249,13 +249,19 @@ def test_unknown_code_kind_exit_3(tmp_path, capsys):
     assert "unknown code kind" in err
 
 
-# config edits that give chi, expect or expect's epsilon the wrong type
+# config edits that give a field the wrong type; 1e400 is written as that
+# literal, which json.loads reads as an infinite float
 BAD_CONFIG_EDITS = {
     "chi-string": {"chi": "3"},
     "chi-float": {"chi": 3.0},
     "chi-bool": {"chi": True},
     "expect-int": {"expect": 5},
     "expect-epsilon-list": {"expect": {"epsilon": [1]}},
+    "n-float": {"n": 12.9},
+    "n-1e400": {"n": 1e400},
+    "n-bool": {"n": True},
+    "seed-float": {"seed": 1.5},
+    "field-m-string": {"field": {"m": "8", "poly": 285}},
 }
 
 
@@ -264,7 +270,7 @@ BAD_CONFIG_EDITS = {
 def test_bad_config_types_exit_3(tmp_path, capsys, edit, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3,
-                               **BAD_CONFIG_EDITS[edit]}))
+                               **BAD_CONFIG_EDITS[edit]}).replace("Infinity", "1e400"))
     if command == "verify":
         argv = ["verify", "--config", str(cfg)]
     else:
@@ -292,7 +298,7 @@ def build_kind(tmp_path, capsys, kind, instances, *extra):
     """Build a placement of `kind` holding `instances` instances; returns the
     payload and the placement path."""
     flags, m_size = KIND_SYSTEMS[kind]
-    payload = bytes(Random(len(kind)).randrange(256) for _ in range(m_size * instances))
+    payload = Random(len(kind)).randbytes(m_size * instances)
     src, place = tmp_path / "src.bin", tmp_path / "place.json"
     src.write_bytes(payload)
     code, _, err = run(capsys, "build", "--code", kind, *flags, "--source", str(src),
@@ -338,6 +344,22 @@ def _outside_field(obj):
     obj["nodes"][0]["symbols"][0]["val_hex"] = "1ff"
 
 
+def _listed_twice(obj):
+    obj["nodes"].append(dict(obj["nodes"][0]))
+
+
+def _outside_topology(obj):
+    obj["nodes"].append(dict(obj["nodes"][0], l=9, j=1))
+
+
+def _l_string(obj):
+    obj["nodes"][0]["l"] = "1"
+
+
+def _idx_bool(obj):
+    obj["nodes"][0]["symbols"][0]["idx"] = True
+
+
 def load_commands(tmp_path, place):
     """A repair of N(1,2) and a reconstruct from every node of the placement."""
     return (["repair", "--placement", str(place), "--node", "1,2",
@@ -348,7 +370,8 @@ def load_commands(tmp_path, place):
 
 
 @pytest.mark.parametrize("kind", KIND_SYSTEMS)
-@pytest.mark.parametrize("mutate", [_drop_last, _add_extra, _wrong_s, _outside_field])
+@pytest.mark.parametrize("mutate", [_drop_last, _add_extra, _wrong_s, _outside_field,
+                                    _listed_twice, _outside_topology, _l_string, _idx_bool])
 def test_malformed_holding_exit_3(tmp_path, capsys, kind, mutate):
     _, place = build_kind(tmp_path, capsys, kind, 2)
     obj = json.loads(place.read_text())
@@ -368,6 +391,7 @@ PARAM_EDITS = {
     "M-off-by-one": ("mbr", lambda params: params.update(M=17)),
     "epsilon-garbage": ("mbr", lambda params: params.update(epsilon="x")),
     "weights-short": ("msr0-nondiv", lambda params: params["parity_weights"].pop()),
+    "field-m-20": ("mbr", lambda params: params["field"].update(m=20, poly=0x100009)),
 }
 
 
@@ -382,6 +406,41 @@ def test_bad_placement_params_exit_3(tmp_path, capsys, edit, command):
     repair, reconstruct = load_commands(tmp_path, place)
     code, _, err = run(capsys, *(repair if command == "repair" else reconstruct))
     assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["non-utf8", "deep"])
+@pytest.mark.parametrize("command", ["build", "verify", "repair", "reconstruct"])
+def test_undecodable_file_exit_3(tmp_path, capsys, content, command):
+    bad, src = tmp_path / "bad.json", tmp_path / "src.bin"
+    bad.write_bytes(content)
+    src.write_bytes(bytes(3))
+    argv = {"build": ["build", "--config", bad, "--source", src, "--out", tmp_path / "p"],
+            "verify": ["verify", "--config", bad],
+            "repair": ["repair", "--placement", bad, "--node", "1,1",
+                       "--out-transcript", tmp_path / "t", "--out-node", tmp_path / "n"],
+            "reconstruct": ["reconstruct", "--placement", bad, "--nodes", "1,1",
+                            "--out", tmp_path / "x"]}[command]
+    code, _, err = run(capsys, *map(str, argv))
+    assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m, poly", [(17, 0x20009), (20, 0x100009)])
+@pytest.mark.parametrize("via", ["config", "flags", "verify"])
+def test_field_over_16_bits_exit_2(tmp_path, capsys, m, poly, via):
+    cfg, src = tmp_path / "cfg.json", tmp_path / "src.bin"
+    cfg.write_text(json.dumps({"n": 6, "k": 3, "L": 2, "code": "mbr0",
+                               "field": {"m": m, "poly": poly}}))
+    src.write_bytes(bytes(3))
+    build = ["build", "--source", str(src), "--out", str(tmp_path / "p.json")]
+    argv = {"config": build + ["--config", str(cfg)],
+            "flags": build + ["--code", "mbr0", "--n", "6", "--k", "3", "--L", "2",
+                              "--field-m", str(m), "--field-poly", str(poly)],
+            "verify": ["verify", "--config", str(cfg)]}[via]
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
     assert "error:" in err and "Traceback" not in err
 
 

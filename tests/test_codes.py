@@ -57,7 +57,7 @@ def test_linearity_certificate(kind, shape, ratio):
 def test_wrapped_matches_product_matrix_reference():
     top = ClusterTopology(9, 5, 3)
     base = ProductMatrixMsr(9, 5, GF8)
-    source = [Random(8).randrange(256) for _ in range(base.file_size)]
+    source = list(Random(8).randbytes(base.file_size))
     p = build("msr-wrapped", top, source, GF8, epsilon=Fraction(1, 2))
     content = base.encode(source)
     for node in top.nodes():
@@ -144,8 +144,7 @@ def test_one_encode_per_component(monkeypatch, kind, shape, ratio):
     m_size = declared_params(kind, top, **ratio)["M"]
     for s in (1, 64):
         calls.clear()
-        p = build(kind, top, [Random(s).randrange(256) for _ in range(s * m_size)],
-                  GF8, **ratio)
+        p = build(kind, top, list(Random(s).randbytes(s * m_size)), GF8, **ratio)
         components = codes.construction(kind, top, GF8, p.params).components
         assert len(calls) == sum(comp.rs is not None for comp in components), s
 
@@ -162,7 +161,7 @@ def test_repair_divides_by_the_lost_coefficient(s):
     rebuilds a data node reads weight * y = sum of the others, so repair
     must divide by the weight."""
     top = ClusterTopology(6, 4, 2)
-    source = [Random(s).randrange(256) for _ in range(3 * s)]
+    source = list(Random(s).randbytes(3 * s))
     p = build("msr0-nondiv", top, source, GF8)
     params = dict(p.params, parity_weights=[3, 7, 5, 9])
     con = codes.construction("msr0-nondiv", top, GF8, params)

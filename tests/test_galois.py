@@ -28,6 +28,13 @@ def test_wrong_degree_rejected():
         GF(8, 0x11)
 
 
+@pytest.mark.parametrize("m, poly", [(17, 0x20009), (20, 0x100009)])
+def test_degree_over_16_rejected_before_tables(monkeypatch, m, poly):
+    monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
+    with pytest.raises(ParamError):
+        GF(m, poly)
+
+
 def test_gf16_poly_irreducible_by_trial_division():
     assert gf2_factors(0x1100B) == []
     assert find_factor(0x1100B) is None
