@@ -13,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import codes, harness
-from .capacity import capacity_eval
+from .capacity import capacity_eval, msr_point
 from .errors import (FormatError, InconsistentSharesError, ParamError)
 from .galois import field_create
-from .placement import (KINDS, dump_json, hex_symbols, load_json, node_to_obj,
+from .placement import (dump_json, hex_symbols, load_json, node_to_obj,
                         placement_from_obj, placement_to_obj, transcript_to_obj)
 from .topology import ClusterTopology, NodeId
 
@@ -81,42 +81,21 @@ def cmd_params(args) -> int:
     if eps is None and args.chi is None:
         eps = Fraction(0)
     chi, eps = codes.resolve_chi(args.chi, eps)
-    n, n_i = top.n, top.n_I
-    if args.mode == "mbr":
-        if eps == 0:
-            out = dict(codes.declared_params("mbr0", top), code="mbr0")
-        elif chi is not None:
-            out = dict(codes.declared_params("mbr", top, chi=chi), code="mbr")
-        else:
-            # No integer chi: normalize beta_c/beta_I to the reduced fraction.
-            beta_c, beta_i = eps.numerator, eps.denominator
-            alpha = (n_i - 1) * beta_i + (n - n_i) * beta_c
-            out = {"alpha": alpha, "beta_i": beta_i, "beta_c": beta_c,
-                   "gamma": alpha, "M": capacity_eval(top, alpha, beta_i, beta_c),
-                   "theta": None, "epsilon": eps, "code": None}
+    kind = codes.select_kind(args.mode, top, chi, eps)
+    if kind is not None:
+        out = dict(codes.declared_params(kind, top, chi, eps), code=kind)
+    elif args.mode == "mbr":
+        # No integer chi: normalize beta_c/beta_I to the reduced fraction.
+        beta_c, beta_i = eps.numerator, eps.denominator
+        alpha = (top.n_I - 1) * beta_i + (top.n - top.n_I) * beta_c
+        out = {"alpha": alpha, "beta_i": beta_i, "beta_c": beta_c,
+               "gamma": alpha, "M": capacity_eval(top, alpha, beta_i, beta_c),
+               "theta": None, "epsilon": eps, "code": None}
     else:
-        if top.k >= top.n:
-            raise ParamError("minimum-storage parameters need k < n")
-        if eps == 0:
-            kind = "msr0-div" if top.k % n_i == 0 else "msr0-nondiv"
-            out = dict(codes.declared_params(kind, top), code=kind)
-        elif eps < Fraction(1, n - top.k):
-            raise ParamError(
-                f"no minimum-storage construction for 0 < epsilon < 1/(n-k)"
-                f"={Fraction(1, n - top.k)}; got {eps}"
-            )
-        elif chi is not None:
-            kind = ("msr-stacked"
-                    if n == top.k * top.L and eps == Fraction(1, n - top.k)
-                    else "msr-wrapped")
-            out = dict(codes.declared_params(kind, top, chi=chi, epsilon=eps),
-                       code=kind)
-        else:
-            alpha = n - top.k
-            gamma = Fraction(n - n_i) + Fraction(n_i - 1) / eps
-            out = {"alpha": alpha, "beta_i": Fraction(1) / eps, "beta_c": 1,
-                   "gamma": gamma, "M": top.k * alpha, "theta": None,
-                   "epsilon": eps, "code": None}
+        m_size = top.k * (top.n - top.k)
+        alpha, gamma = msr_point(top, eps, m_size)
+        out = {"alpha": alpha, "beta_i": 1 / eps, "beta_c": 1, "gamma": gamma,
+               "M": m_size, "theta": None, "epsilon": eps, "code": None}
     _write(args.out, dump_json({key: _rat(val) for key, val in out.items()}))
     return EXIT_OK
 
@@ -184,6 +163,8 @@ def cmd_verify(args) -> int:
         if not args.config:
             raise ParamError("verify needs --config or --acceptance")
         raw = load_json(_read(args.config), arrays=True)
+        if raw == []:
+            raise FormatError(f"{args.config} lists no configs")
         configs = [codes.parse_config(obj)
                    for obj in (raw if isinstance(raw, list) else [raw])]
     reports = harness.run_suite(configs)
@@ -241,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="encode a byte payload into a placement")
     sp.add_argument("--config", help="JSON config; flags override its keys")
-    sp.add_argument("--code", choices=KINDS)
+    sp.add_argument("--code", choices=list(codes.TABLE))
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--L", type=int)

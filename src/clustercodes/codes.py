@@ -1,7 +1,8 @@
 """The code kinds, their parameters, and one engine serving all of them:
-TABLE gives each kind its construction (layout, component codes and repair
-plan; see construction.py), and build, repair, regenerate and reconstruct
-run any construction."""
+TABLE is the one list of kinds and gives each its mode, its domain and
+declared parameters, its construction (layout, component codes and repair
+plan; see construction.py) and its build-time search; build, repair,
+regenerate and reconstruct run any construction."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from numbers import Rational
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import mbr, msr
 from .capacity import (derive, mbr_filesize_pos, mbr_filesize_zero,
@@ -19,7 +20,7 @@ from .errors import (FormatError, InconsistentSharesError, InsufficientDataError
                      ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
 from .mdscodec import LinearMap, Matrix, mat_solve, rs_decode, rs_encode
-from .placement import KINDS, Holding, Placement, RepairTranscript, as_int
+from .placement import Holding, Placement, RepairTranscript, as_int
 from .topology import ClusterTopology, NodeId
 
 
@@ -49,78 +50,144 @@ def resolve_chi(chi: int | None, epsilon: Fraction | None) -> tuple[int | None, 
     return chi, epsilon
 
 
+def _regime(holds: bool, kind: str, need: str, *args: Any) -> None:
+    """A condition that only rules this kind out: RegimeError, its message
+    formatted with args only when it is raised."""
+    if not holds:
+        raise RegimeError(f"{kind} needs " + need.format(*args))
+
+
+def _clustered(kind: str, top: ClusterTopology) -> None:
+    """Clusters of n_I >= 2 nodes: no kind covers single-node clusters at a
+    ratio these kinds take, so this is a ParamError."""
+    if top.n_I < 2:
+        raise ParamError(f"{kind} needs clusters of n_I >= 2 nodes, got n_I={top.n_I}")
+
+
+# Each kind's domain and declared per-instance parameters: (kind, top, chi,
+# eps) -> params, for chi and eps that _declared has resolved and checked.
+# The ratio condition comes before the cluster check, so that inputs at a
+# ratio no kind takes select no kind, whatever n_I is.
+
+def _mbr0(kind, top, chi, eps):
+    _regime(not eps, kind, "epsilon = 0, got {}", eps)
+    _clustered(kind, top)
+    return {"alpha": top.n_I - 1, "beta_i": 1, "beta_c": 0, "gamma": top.n_I - 1,
+            "M": mbr_filesize_zero(top), "theta": mbr_theta_zero(top), "epsilon": Fraction(0)}
+
+
+def _mbr(kind, top, chi, eps):
+    _regime(chi is not None, kind, "epsilon = 1/chi for an integer chi, got {}", eps)
+    _clustered(kind, top)
+    alpha = (top.n_I - 1) * chi + (top.n - top.n_I)
+    return {"alpha": alpha, "beta_i": chi, "beta_c": 1, "gamma": alpha, "chi": chi,
+            "M": mbr_filesize_pos(top, chi), "theta": mbr_theta_pos(top, chi),
+            "epsilon": Fraction(1, chi)}
+
+
+def _msr0_div(kind, top, chi, eps):
+    n, k, n_i = top.n, top.k, top.n_I
+    _regime(not eps, kind, "epsilon = 0, got {}", eps)
+    _clustered(kind, top)
+    _regime(k % n_i == 0, kind, "n_I | k, got n_I={}, k={}", n_i, k)
+    return {"alpha": n_i, "beta_i": n_i, "beta_c": 0, "gamma": (n_i - 1) * n_i,
+            "M": k * (n_i - 1), "theta": n * n_i, "epsilon": Fraction(0)}
+
+
+def _msr0_nondiv(kind, top, chi, eps):
+    n, k, n_i = top.n, top.k, top.n_I
+    _regime(not eps, kind, "epsilon = 0, got {}", eps)
+    _clustered(kind, top)
+    _regime(k % n_i != 0, kind, "n_I to not divide k, got n_I={}, k={}", n_i, k)
+    return {"alpha": 1, "beta_i": 1, "beta_c": 0, "gamma": n_i - 1,
+            "M": k - derive(top).q, "theta": n, "epsilon": Fraction(0)}
+
+
+def _msr_stacked(kind, top, chi, eps):
+    n, k, ratio = top.n, top.k, Fraction(1, top.n - top.k)
+    _regime(eps is None or eps == ratio, kind, "epsilon = 1/(n-k) = {}, got {}", ratio, eps)
+    _regime(n == k * top.L, kind, "n = k*L, got n={}, k*L={}", n, k * top.L)
+    return {"alpha": n - k, "beta_i": n - k, "beta_c": 1, "gamma": k * (n - k),
+            "M": k * (n - k), "theta": n * (n - k), "epsilon": ratio}
+
+
+def _msr_wrapped(kind, top, chi, eps):
+    n, k, n_i = top.n, top.k, top.n_I
+    _regime(chi is not None and eps >= Fraction(1, n - k), kind,
+            "epsilon = 1/chi in [1/(n-k), 1] for an integer chi, got {}", eps)
+    _regime(n == 2 * k - 1, kind, "n = 2k-1 for its product-matrix base, got n={}, k={}", n, k)
+    return {"alpha": n - k, "beta_i": chi, "beta_c": 1, "gamma": (n_i - 1) * chi + (n - n_i),
+            "M": k * (n - k), "theta": n * (n - k), "chi": chi, "epsilon": eps}
+
+
+class Kind(NamedTuple):
+    """A row of TABLE: everything the package knows of one code kind."""
+    mode: str  # "mbr" or "msr"
+    declared: Callable[..., dict[str, Any]]  # its domain and declared params
+    construction: Callable[[ClusterTopology, GF, dict], Construction]
+    search: Callable[[ClusterTopology, GF], dict] = lambda top, gf: {}  # params a build records
+
+
+# Every code kind. Within a mode, select_kind prefers the earlier row.
+TABLE = {
+    "mbr0": Kind("mbr", _mbr0, mbr.transfer),
+    "mbr": Kind("mbr", _mbr, mbr.transfer),
+    "msr0-div": Kind("msr", _msr0_div, msr.div),
+    "msr0-nondiv": Kind("msr", _msr0_nondiv, msr.nondiv, msr.nondiv_search),
+    "msr-stacked": Kind("msr", _msr_stacked, msr.stacked),
+    "msr-wrapped": Kind("msr", _msr_wrapped, msr.wrapped,
+                        lambda top, gf: {"base": "product-matrix"}),
+}
+
+
+def _declared(kind: str, top: ClusterTopology, chi: int | None,
+              epsilon: Fraction | None) -> dict[str, Any]:
+    row = TABLE.get(kind)
+    if row is None:
+        raise ParamError(f"unknown code kind {kind!r}")
+    if top.k >= top.n:
+        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
+    chi, epsilon = resolve_chi(chi, epsilon)
+    if epsilon is not None and not 0 <= epsilon <= 1:
+        raise ParamError(f"epsilon must lie in [0, 1], got {epsilon}")
+    return row.declared(kind, top, chi, epsilon)
+
+
 def declared_params(kind: str, top: ClusterTopology, chi: int | None = None,
                     epsilon: Fraction | None = None) -> dict[str, Any]:
-    """Per-instance (alpha, beta_i, beta_c, gamma, M, theta) for a construction."""
-    n, k, n_i = top.n, top.k, top.n_I
-    chi, epsilon = resolve_chi(chi, epsilon)
-    if n_i < 2 and kind in ("mbr0", "mbr", "msr0-div", "msr0-nondiv"):
-        raise ParamError(f"{kind} needs clusters of n_I >= 2 nodes, got n_I={n_i}")
-    if kind == "mbr0":
-        m_size = mbr_filesize_zero(top)
-        return {"alpha": n_i - 1, "beta_i": 1, "beta_c": 0, "gamma": n_i - 1,
-                "M": m_size, "theta": mbr_theta_zero(top), "epsilon": Fraction(0)}
-    if kind == "mbr":
-        if chi is None:
-            raise ParamError("the positive-ratio bandwidth code needs integer 1/epsilon")
-        alpha = (n_i - 1) * chi + (n - n_i)
-        return {"alpha": alpha, "beta_i": chi, "beta_c": 1, "gamma": alpha,
-                "M": mbr_filesize_pos(top, chi), "theta": mbr_theta_pos(top, chi),
-                "chi": chi, "epsilon": Fraction(1, chi)}
-    if kind == "msr0-div":
-        if k % n_i != 0:
-            raise RegimeError(f"msr0-div needs n_I | k (n_I={n_i}, k={k}); use msr0-nondiv")
-        return {"alpha": n_i, "beta_i": n_i, "beta_c": 0, "gamma": (n_i - 1) * n_i,
-                "M": k * (n_i - 1), "theta": n * n_i, "epsilon": Fraction(0)}
-    if kind == "msr0-nondiv":
-        if k % n_i == 0:
-            raise RegimeError(f"msr0-nondiv needs n_I to not divide k (n_I={n_i}, k={k}); "
-                              f"use msr0-div")
-        m_size = k - derive(top).q
-        return {"alpha": 1, "beta_i": 1, "beta_c": 0, "gamma": n_i - 1,
-                "M": m_size, "theta": n, "epsilon": Fraction(0)}
-    if kind == "msr-stacked":
-        if n != k * top.L:
-            raise RegimeError(f"msr-stacked needs n = k*L (n={n}, k*L={k * top.L})")
-        if epsilon is not None and epsilon != Fraction(1, n - k):
-            raise RegimeError(f"msr-stacked fixes epsilon = 1/(n-k); got {epsilon}")
-        return {"alpha": n - k, "beta_i": n - k, "beta_c": 1, "gamma": k * (n - k),
-                "M": k * (n - k), "theta": n * (n - k), "epsilon": Fraction(1, n - k)}
-    if kind == "msr-wrapped":
-        if chi is None:
-            raise ParamError(f"msr-wrapped needs epsilon = 1/chi in [1/(n-k), 1] for an "
-                             f"integer chi, got {epsilon}")
-        if not Fraction(1, n - k) <= epsilon <= 1:
-            raise RegimeError(f"msr-wrapped covers 1/(n-k) <= eps <= 1; got {epsilon}")
-        return {"alpha": n - k, "beta_i": chi, "beta_c": 1,
-                "gamma": (n_i - 1) * chi + (n - n_i),
-                "M": k * (n - k), "theta": n * (n - k), "chi": chi, "epsilon": epsilon}
-    raise ParamError(f"unknown code kind {kind!r}")
+    """Per-instance (alpha, beta_i, beta_c, gamma, M, theta) of a kind's code.
+    Inputs no kind covers (k >= n, epsilon outside [0, 1], ...) are a
+    ParamError; a condition that only rules this kind out is a RegimeError,
+    which names the kind of the same mode that covers the inputs, if any."""
+    try:
+        return _declared(kind, top, chi, epsilon)
+    except RegimeError as e:
+        try:
+            other = select_kind(TABLE[kind].mode, top, chi, epsilon)
+        except ParamError:
+            other = None
+        raise RegimeError(f"{e}; {other} covers these inputs" if other else str(e)) from None
+
+
+def select_kind(mode: str, top: ClusterTopology, chi: int | None = None,
+                eps: Fraction | None = None) -> str | None:
+    """The first kind of the mode whose domain holds the inputs, or None when
+    no construction covers them; inputs outside every domain raise ParamError."""
+    for kind in (kind for kind, row in TABLE.items() if row.mode == mode):
+        try:
+            _declared(kind, top, chi, eps)
+        except RegimeError:
+            continue
+        return kind
+    return None
 
 
 def default_field(kind: str, top: ClusterTopology, chi: int | None = None,
                   epsilon: Fraction | None = None) -> GF:
     """GF(2^8) when the code's evaluation points fit, otherwise GF(2^16): the
     bandwidth codes evaluate at theta points, the others at n."""
-    if kind in ("mbr0", "mbr"):
-        return field_for_codeword_length(declared_params(kind, top, chi, epsilon)["theta"])
-    return field_for_codeword_length(top.n)
-
-
-def _no_params(top: ClusterTopology, gf: GF) -> dict:
-    return {}
-
-
-# kind -> (construction from topology, field and declared parameters,
-#          parameters a build chooses and records beside the declared ones)
-TABLE = {
-    "mbr0": (mbr.transfer, _no_params),
-    "mbr": (mbr.transfer, _no_params),
-    "msr0-div": (msr.div, _no_params),
-    "msr0-nondiv": (msr.nondiv, msr.nondiv_search),
-    "msr-stacked": (msr.stacked, _no_params),
-    "msr-wrapped": (msr.wrapped, lambda top, gf: {"base": "product-matrix"}),
-}
+    theta = declared_params(kind, top, chi, epsilon)["theta"]
+    return field_for_codeword_length(theta if TABLE[kind].mode == "mbr" else top.n)
 
 
 def construction(kind: str, top: ClusterTopology, gf: GF, params: dict) -> Construction:
@@ -135,8 +202,8 @@ def construction(kind: str, top: ClusterTopology, gf: GF, params: dict) -> Const
 def _construction(kind: str, top: ClusterTopology, gf: GF, chi: int | None,
                   points: tuple[int, ...], weights: tuple[int, ...]) -> Construction:
     declared = declared_params(kind, top, chi)
-    return TABLE[kind][0](top, gf, dict(declared, eval_points=points,
-                                        parity_weights=weights))
+    return TABLE[kind].construction(top, gf, dict(declared, eval_points=points,
+                                                  parity_weights=weights))
 
 
 @lru_cache(maxsize=32)
@@ -172,15 +239,13 @@ def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holdin
 def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
           chi: int | None = None, epsilon: Fraction | None = None) -> Placement:
     """Encode source, s = len(source)/M instances of M symbols each."""
-    if top.k >= top.n:
-        raise ParamError(f"need k < n, got k={top.k}, n={top.n}")
     params = declared_params(kind, top, chi, epsilon)
     if not source or len(source) % params["M"]:
         raise ParamError(
             f"source length {len(source)} is not a positive multiple of M={params['M']}")
     if min(source) < 0 or max(source) >= gf.order:
         raise ParamError(f"source holds a value outside GF(2^{gf.m})")
-    params |= TABLE[kind][1](top, gf)
+    params |= TABLE[kind].search(top, gf)
     con = construction(kind, top, gf, params)
     params |= {"epsilon": str(params["epsilon"]), "s": len(source) // params["M"]}
     return Placement(kind, top, gf, params, _encode(con, gf, source))
@@ -204,9 +269,9 @@ def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
     for node in nodes:
         if node not in con.layout:
             raise ParamError(f"{node} is not a node of the topology {p.topology}")
-    s = p.instances
-    if type(s) is not int or s < 1:
-        raise FormatError(f"instance count s={s!r} is not a positive integer")
+    s = as_int(p.instances, "instance count s")
+    if s < 1:
+        raise FormatError(f"instance count s={s} is not positive")
     return con, s
 
 
@@ -258,10 +323,13 @@ def params_mismatch(p: Placement, want: dict[str, Any]) -> tuple[str, Any, Any] 
 
 def check_params(p: Placement) -> None:
     """Raise FormatError unless p's params are those a build of its kind
-    records: an integer chi where there is one, a 'p/q' epsilon, the declared
+    records: a kind of TABLE, an integer chi where there is one, a 'p/q'
+    epsilon, a topology and chi in the kind's domain, the declared
     parameters and, for msr0-nondiv, L*(n_I-1) evaluation points and parity
     weights that are nonzero field elements. A placement read from a file is
     checked once on load; the engine itself trusts its params."""
+    if p.kind not in TABLE:
+        raise FormatError(f"unknown placement kind {p.kind!r}")
     chi, eps = p.params.get("chi"), p.params.get("epsilon")
     if chi is not None:
         as_int(chi, "placement chi")
@@ -272,11 +340,15 @@ def check_params(p: Placement) -> None:
         Fraction(eps)
     except (ValueError, ZeroDivisionError) as e:
         raise bad_eps from e
-    bad = params_mismatch(p, declared_params(p.kind, p.topology, chi))
+    try:
+        declared = declared_params(p.kind, p.topology, chi)
+    except ParamError as e:
+        raise FormatError(f"placement params outside its kind's domain: {e}") from e
+    bad = params_mismatch(p, declared)
     if bad is not None:
         key, want, actual = bad
         raise FormatError(f"placement param {key}={actual}, but {p.kind} declares {want}")
-    if p.kind == "msr0-nondiv":
+    if TABLE[p.kind].search is msr.nondiv_search:
         size = p.topology.L * (p.topology.n_I - 1)
         for key in ("eval_points", "parity_weights"):
             vals = p.params.get(key)
@@ -414,7 +486,7 @@ def parse_config(obj: dict) -> dict[str, Any]:
         top = ClusterTopology(*(as_int(obj[key], f"config {key}")
                                 for key in ("n", "k", "L")))
         kind = obj["code"]
-        if kind not in KINDS:
+        if kind not in TABLE:
             raise FormatError(f"unknown code kind {kind!r}")
         chi, expect = obj.get("chi"), obj.get("expect", {})
         if chi is not None:

@@ -205,7 +205,7 @@ def run_system(config: dict[str, Any]) -> VerificationReport:
         checks.append(verify_structure(p))
         checks.append(verify_exact_repair(p))
         checks.append(verify_reconstruction(p, source, seed=seed))
-        if kind in ("mbr0", "mbr"):
+        if codes.TABLE[kind].mode == "mbr":
             checks.append(verify_counting(p))
     except ClusterCodeError as e:
         checks.append(_fail("build", reason=str(e)))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from math import comb
 
-from .capacity import mbr_theta_pos
 from .construction import Component, Construction, stored_plan
 from .errors import ParamError
 from .galois import GF
@@ -46,22 +45,6 @@ def mbr_pos_layout(top: ClusterTopology, chi: int) -> dict[NodeId, list[int]]:
                          for i2 in incidence_row(top.n_I, j)]
             layout[NodeId(l, j)] = sorted(idxs)
     return layout
-
-
-def local_to_tuple(s: int, top: ClusterTopology, chi: int) -> tuple[int, int, int]:
-    """Local symbol index -> (cluster l, layer t, edge i2); inverse of tuple_to_local."""
-    if chi < 2:
-        raise ParamError("no local symbols exist for chi=1")
-    base = comb(top.n, 2)
-    small = comb(top.n_I, 2)
-    delta = (chi - 1) * small
-    if not base < s <= mbr_theta_pos(top, chi):
-        raise ParamError(f"index {s} outside the local range ({base}, theta]")
-    sp = s - base
-    l = -(-sp // delta)
-    t = -(-(sp - (l - 1) * delta) // small)
-    i2 = sp - (l - 1) * delta - (t - 1) * small
-    return l, t, i2
 
 
 def tuple_to_local(l: int, t: int, i2: int, top: ClusterTopology, chi: int) -> int:

@@ -419,9 +419,7 @@ class ProductMatrixMsr:
     message fills two symmetric alpha x alpha matrices S1, S2; node u stores
     psi_u^T [S1; S2] for the Vandermonde row psi_u = (1, x_u, ...,
     x_u^(2*alpha-1)) with lambda_u = x_u^alpha distinct. The wrapped
-    construction reads psi, lambda and the coeff rows from here; encode,
-    repair_symbol, regenerate and reconstruct are the reference the tests
-    compare it against.
+    construction reads psi, lambda and the coeff rows from here.
     """
 
     def __init__(self, n: int, k: int, gf: GF):
@@ -460,53 +458,3 @@ class ProductMatrixMsr:
             row[self._tri(i, slot)] ^= self.psi[u][i]
             row[half + self._tri(i, slot)] ^= self.psi[u][self.alpha + i]
         return row
-
-    def encode(self, source: list[int]) -> list[list[int]]:
-        if len(source) != self.file_size:
-            raise ParamError(f"source length {len(source)} != M={self.file_size}")
-        gf = self.gf
-        content = []
-        for u in range(self.n):
-            node = []
-            for slot in range(self.alpha):
-                val = 0
-                for pos, c in enumerate(self.coeff(u, slot)):
-                    if c and source[pos]:
-                        val ^= gf.mul(c, source[pos])
-                node.append(val)
-            content.append(node)
-        return content
-
-    def repair_symbol(self, helper: int, content: list[int], failed: int) -> int:
-        """The single symbol helper sends for failed: <content, phi_failed>."""
-        gf = self.gf
-        val = 0
-        for a in range(self.alpha):
-            val ^= gf.mul(content[a], self.psi[failed][a])
-        return val
-
-    def regenerate(self, failed: int, received: dict[int, int]) -> list[int]:
-        """Rebuild node content from one repair symbol per surviving node."""
-        helpers = sorted(received)
-        if len(helpers) != self.n - 1 or failed in helpers:
-            raise ParamError("repair needs exactly the n-1 survivors")
-        system = Matrix(self.n - 1, 2 * self.alpha, [self.psi[u] for u in helpers])
-        res = mat_solve(self.gf, system, [received[u] for u in helpers])
-        y = res.solution  # unique: square Vandermonde system
-        return [y[a] ^ self.gf.mul(self.lam[failed], y[self.alpha + a])
-                for a in range(self.alpha)]
-
-    def reconstruct(self, shares: dict[int, list[int]]) -> list[int]:
-        if len(shares) < self.k:
-            raise InsufficientDataError(f"{len(shares)} nodes given, need {self.k}")
-        rows, rhs = [], []
-        for u in sorted(shares):
-            for slot in range(self.alpha):
-                rows.append(self.coeff(u, slot))
-                rhs.append(shares[u][slot])
-        res = mat_solve(self.gf, Matrix(len(rows), self.file_size, rows), rhs)
-        if res.solution is None:
-            raise InconsistentSharesError("node contents are inconsistent")
-        if res.underdetermined:
-            raise InsufficientDataError("node contents do not pin the source")
-        return res.solution

@@ -9,9 +9,9 @@ Four constructions, selected by bandwidth ratio and divisibility:
     one symbol per node.
   * msr-stacked (eps = 1/(n-k), n = kL): n-k independent (n,k) codewords laid
     out round-robin, one coordinate of each per node.
-  * msr-wrapped (1/(n-k) <= eps <= 1, 1/eps integer): the product-matrix code
-    placed by flat node index; intra-cluster helpers repeat their repair
-    symbol 1/eps times.
+  * msr-wrapped (1/(n-k) <= eps <= 1, 1/eps integer, n = 2k-1): the
+    product-matrix code placed by flat node index; intra-cluster helpers
+    repeat their repair symbol 1/eps times.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ def _whole_sends(layout: dict, failed: NodeId) -> dict:
 def rot_group(l: int, j: int, t: int, n_i: int) -> int:
     """Group index whose slot t lives on N(l,j): (l-1)*n_I + ((j+t-2) mod n_I) + 1."""
     return (l - 1) * n_i + (j + t - 2) % n_i + 1
-
-
-def rot_node_j(i: int, t: int, n_i: int) -> int:
-    """Within-cluster index j holding slot t of group i; inverse of rot_group."""
-    i0 = (i - 1) % n_i + 1
-    return (i0 - t) % n_i + 1
 
 
 def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:

@@ -8,6 +8,7 @@ Symbol indices are 1-based and global; values are hex at the field's width.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
@@ -18,8 +19,6 @@ from .topology import ClusterTopology, NodeId, node_flat
 
 Holding = list[tuple[int, int]]  # ordered (global symbol index, field element)
 Symbols = list[tuple[int | None, int]]  # a Holding, or what a helper sent (None: computed)
-
-KINDS = ("mbr0", "mbr", "msr0-div", "msr0-nondiv", "msr-stacked", "msr-wrapped")
 
 
 @dataclass
@@ -65,9 +64,14 @@ def as_int(value: Any, what: str) -> int:
     return value
 
 
+def _hex_width(gf: GF) -> int:
+    return -(-gf.m // 4)
+
+
 def hex_symbols(values: Iterable[int], gf: GF) -> list[str]:
-    """Field elements as hex at the field's width, the text form of a symbol."""
-    spec = f"0{gf.m // 4}x"
+    """Field elements as lowercase hex of ceil(m/4) digits, the text form of a
+    symbol."""
+    spec = f"0{_hex_width(gf)}x"
     return [format(val, spec) for val in values]
 
 
@@ -78,23 +82,33 @@ def node_to_obj(node: NodeId, symbols: Symbols, gf: GF) -> dict:
         {"idx": idx, "val_hex": text} for (idx, _), text in zip(symbols, hexes)]}
 
 
-def _nodes_from_obj(entries: list[dict],
-                    top: ClusterTopology | None) -> dict[NodeId, Symbols]:
+def _nodes_from_obj(entries: list[dict], top: ClusterTopology,
+                    gf: GF) -> dict[NodeId, Holding]:
     """Node records as (index, value) lists by node. A node listed twice is
-    refused; with a topology, so is a node outside it (ParamError) or a symbol
-    index that is not an integer (a transcript's is null if computed)."""
-    idx_types = (int,) if top is not None else (int, type(None))
-    nodes: dict[NodeId, Symbols] = {}
+    refused, and so is a node outside the topology (ParamError), a symbol
+    index that is not an integer or a value not written as hex_symbols writes
+    it (FormatError)."""
+    width = _hex_width(gf)
+    canonical = re.compile(f"[0-9a-f]{{{width}}}(?: [0-9a-f]{{{width}}})*")
+    nodes: dict[NodeId, Holding] = {}
     for entry in entries:
         node = NodeId(as_int(entry["l"], "node l"), as_int(entry["j"], "node j"))
         if node in nodes:
             raise FormatError(f"{node} is listed twice")
-        if top is not None:
-            node_flat(node, top)
-        symbols = [(x["idx"], int(x["val_hex"], 16)) for x in entry["symbols"]]
-        if not all(type(idx) in idx_types for idx, _ in symbols):
+        node_flat(node, top)
+        idxs = [x["idx"] for x in entry["symbols"]]
+        texts = [x["val_hex"] for x in entry["symbols"]]
+        if not all(type(idx) is int for idx in idxs):
             raise FormatError(f"{node} has a symbol idx that is not an integer")
-        nodes[node] = symbols
+        # one match over the node: each value exactly `width` lowercase hex digits
+        joined = " ".join(texts)
+        if texts and not (canonical.fullmatch(joined)
+                          and len(joined) == len(texts) * (width + 1) - 1):
+            raise FormatError(f"{node} has a val_hex that is not {width} lowercase "
+                              f"hex digits")
+        # one byte per symbol over GF(2^8), read in one call
+        vals = bytes.fromhex(joined) if width == 2 else [int(text, 16) for text in texts]
+        nodes[node] = list(zip(idxs, vals))
     return nodes
 
 
@@ -110,15 +124,13 @@ def placement_to_obj(p: Placement) -> dict:
 def placement_from_obj(obj: dict) -> Placement:
     try:
         kind = obj["kind"]
-        if kind not in KINDS:
-            raise FormatError(f"unknown placement kind {kind!r}")
         params = dict(obj["params"])
         fobj = params.pop("field")
         top = ClusterTopology(*(as_int(params.pop(key), f"placement {key}")
                                 for key in ("n", "k", "L")))
         gf = field_create(as_int(fobj["m"], "placement field m"),
                           as_int(fobj["poly"], "placement field poly"))
-        return Placement(kind, top, gf, params, _nodes_from_obj(obj["nodes"], top))
+        return Placement(kind, top, gf, params, _nodes_from_obj(obj["nodes"], top, gf))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -134,17 +146,6 @@ def transcript_to_obj(t: RepairTranscript, gf: GF) -> dict:
         "beta_c": t.beta_c,
         "gamma": t.gamma,
     }
-
-
-def transcript_from_obj(obj: dict) -> RepairTranscript:
-    try:
-        failed = NodeId(obj["failed"]["l"], obj["failed"]["j"])
-        return RepairTranscript(failed, _nodes_from_obj(obj["contributions"], None),
-                                obj["beta_i"], obj["beta_c"], obj["gamma"])
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed transcript: {e}") from e
 
 
 def dump_json(obj: dict | list) -> str:

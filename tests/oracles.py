@@ -8,6 +8,12 @@ implementation under test.
 
 from __future__ import annotations
 
+from math import comb
+
+from clustercodes.capacity import mbr_theta_pos
+from clustercodes.errors import ParamError
+from clustercodes.mdscodec import Matrix, mat_solve
+
 
 def gf2_mod(a: int, b: int) -> int:
     db = b.bit_length() - 1
@@ -132,3 +138,77 @@ def ref_repair(con, gf, holdings: dict, failed, s: int) -> tuple[dict, list]:
                 acc ^= gf.mul(c, received[r])
             rebuilt.append((base + i, gf.div(acc, lost)))
     return sent, rebuilt
+
+
+def rot_node_j(i: int, t: int, n_i: int) -> int:
+    """Within-cluster index j holding slot t of group i of the divisible
+    minimum-storage code; inverse of msr.rot_group."""
+    i0 = (i - 1) % n_i + 1
+    return (i0 - t) % n_i + 1
+
+
+def local_to_tuple(s: int, top, chi: int) -> tuple[int, int, int]:
+    """Local symbol index of the positive-ratio bandwidth code -> (cluster l,
+    layer t, edge i2); inverse of mbr.tuple_to_local."""
+    if chi < 2:
+        raise ParamError("no local symbols exist for chi=1")
+    base = comb(top.n, 2)
+    small = comb(top.n_I, 2)
+    delta = (chi - 1) * small
+    if not base < s <= mbr_theta_pos(top, chi):
+        raise ParamError(f"index {s} outside the local range ({base}, theta]")
+    sp = s - base
+    l = -(-sp // delta)
+    t = -(-(sp - (l - 1) * delta) // small)
+    i2 = sp - (l - 1) * delta - (t - 1) * small
+    return l, t, i2
+
+
+# The product-matrix code's own encode, repair and decode, node by node on
+# one instance: the reference the wrapped construction is checked against.
+
+def pm_encode(base, source: list[int]) -> list[list[int]]:
+    """Each node's alpha symbols, every one a sum of gf.mul over its coeff row."""
+    gf = base.gf
+    assert len(source) == base.file_size
+    content = []
+    for u in range(base.n):
+        node = []
+        for slot in range(base.alpha):
+            val = 0
+            for pos, c in enumerate(base.coeff(u, slot)):
+                if c and source[pos]:
+                    val ^= gf.mul(c, source[pos])
+            node.append(val)
+        content.append(node)
+    return content
+
+
+def pm_repair_symbol(base, helper: int, content: list[int], failed: int) -> int:
+    """The single symbol helper sends for failed: <content, phi_failed>."""
+    val = 0
+    for a in range(base.alpha):
+        val ^= base.gf.mul(content[a], base.psi[failed][a])
+    return val
+
+
+def pm_regenerate(base, failed: int, received: dict[int, int]) -> list[int]:
+    """Node content from one repair symbol per surviving node."""
+    helpers = sorted(received)
+    assert len(helpers) == base.n - 1 and failed not in helpers
+    system = Matrix(base.n - 1, 2 * base.alpha, [base.psi[u] for u in helpers])
+    y = mat_solve(base.gf, system, [received[u] for u in helpers]).solution
+    return [y[a] ^ base.gf.mul(base.lam[failed], y[base.alpha + a])
+            for a in range(base.alpha)]
+
+
+def pm_reconstruct(base, shares: dict[int, list[int]]) -> list[int]:
+    """The source from the contents of at least k nodes."""
+    rows, rhs = [], []
+    for u in sorted(shares):
+        for slot in range(base.alpha):
+            rows.append(base.coeff(u, slot))
+            rhs.append(shares[u][slot])
+    res = mat_solve(base.gf, Matrix(len(rows), base.file_size, rows), rhs)
+    assert res.solution is not None and not res.underdetermined
+    return res.solution

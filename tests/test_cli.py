@@ -1,4 +1,7 @@
+import io
 import json
+from contextlib import redirect_stdout
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -44,6 +47,98 @@ def test_params_mbr_chi_flag_agrees_with_epsilon(capsys):
                      "--epsilon", "1/3", "--mode", "mbr")
     assert json.loads(out1) == json.loads(out2)
     assert json.loads(out1)["M"] == 18
+
+
+# params inputs and their output: one system per kind, both capacity-point
+# branches, and inputs no construction covers
+PARAMS_CASES = {
+    "mbr0": ("12 6 3 --epsilon 0 --mode mbr", 0, {
+        "M": 11, "alpha": 3, "beta_c": 0, "beta_i": 1, "code": "mbr0", "epsilon": 0,
+        "gamma": 3, "theta": 18}),
+    "mbr": ("6 3 2 --chi 3 --mode mbr", 0, {
+        "M": 18, "alpha": 9, "beta_c": 1, "beta_i": 3, "chi": 3, "code": "mbr",
+        "epsilon": "1/3", "gamma": 9, "theta": 27}),
+    "msr0-div": ("6 3 2 --epsilon 0 --mode msr", 0, {
+        "M": 6, "alpha": 3, "beta_c": 0, "beta_i": 3, "code": "msr0-div", "epsilon": 0,
+        "gamma": 6, "theta": 18}),
+    "msr0-nondiv": ("6 4 2 --epsilon 0 --mode msr", 0, {
+        "M": 3, "alpha": 1, "beta_c": 0, "beta_i": 1, "code": "msr0-nondiv",
+        "epsilon": 0, "gamma": 2, "theta": 6}),
+    "msr-stacked": ("6 2 3 --epsilon 1/4 --mode msr", 0, {
+        "M": 8, "alpha": 4, "beta_c": 1, "beta_i": 4, "code": "msr-stacked",
+        "epsilon": "1/4", "gamma": 8, "theta": 24}),
+    "msr-wrapped": ("9 5 3 --epsilon 1/2 --mode msr", 0, {
+        "M": 20, "alpha": 4, "beta_c": 1, "beta_i": 2, "chi": 2, "code": "msr-wrapped",
+        "epsilon": "1/2", "gamma": 10, "theta": 36}),
+    "mbr-capacity-point": ("6 3 2 --epsilon 2/5 --mode mbr", 0, {
+        "M": 33, "alpha": 16, "beta_c": 2, "beta_i": 5, "code": None, "epsilon": "2/5",
+        "gamma": 16, "theta": None}),
+    "msr-capacity-point": ("6 3 2 --epsilon 2/5 --mode msr", 0, {
+        "M": 9, "alpha": 3, "beta_c": 1, "beta_i": "5/2", "code": None, "epsilon": "2/5",
+        "gamma": 8, "theta": None}),
+    # the product-matrix base needs n = 2k-1, so no construction covers these
+    "wrapped-shape-capacity-point": ("12 5 3 --chi 2 --mode msr", 0, {
+        "M": 35, "alpha": 7, "beta_c": 1, "beta_i": 2, "code": None, "epsilon": "1/2",
+        "gamma": 14, "theta": None}),
+    "msr-epsilon-over-1": ("6 3 2 --epsilon 3/2 --mode msr", 2, "[0, 1]"),
+    "mbr-k-equals-n": ("6 6 2 --epsilon 0 --mode mbr", 2, "k < n"),
+}
+
+
+@pytest.mark.parametrize("case", PARAMS_CASES)
+def test_params_table(capsys, case):
+    args, want_code, want = PARAMS_CASES[case]
+    n, k, big_l, *rest = args.split()
+    code, out, err = run(capsys, "params", "--n", n, "--k", k, "--L", big_l, *rest)
+    assert code == want_code, err
+    if want_code == 0:
+        assert json.loads(out) == want
+    else:
+        assert out == "" and want in err
+
+
+def test_params_names_only_codes_that_build():
+    """Wherever params names a code, a build of that code succeeds."""
+    from clustercodes import codes
+    from clustercodes.cli import build_parser
+    from clustercodes.errors import ParamError
+    from clustercodes.topology import ClusterTopology
+    parser, named = build_parser(), {}
+    for n in range(2, 10):
+        for big_l in (d for d in range(1, n + 1) if n % d == 0):
+            for k in range(1, n + 1):
+                for mode in ("mbr", "msr"):
+                    for eps in ("0", "1", "1/2", "1/3", "1/4"):
+                        argv = ["params", "--n", str(n), "--k", str(k), "--L", str(big_l),
+                                "--epsilon", eps, "--mode", mode]
+                        args, out = parser.parse_args(argv), io.StringIO()
+                        try:
+                            with redirect_stdout(out):
+                                args.func(args)
+                        except ParamError:  # params exits 2 and names nothing
+                            continue
+                        kind = json.loads(out.getvalue())["code"]
+                        if kind is not None:
+                            named[kind, (n, k, big_l), Fraction(eps)] = argv
+    assert {kind for kind, _, _ in named} == set(codes.TABLE)
+    for (kind, shape, eps), argv in named.items():
+        top = ClusterTopology(*shape)
+        m_size = codes.declared_params(kind, top, epsilon=eps)["M"]
+        gf = codes.default_field(kind, top, epsilon=eps)
+        p = codes.build(kind, top, list(range(1, m_size + 1)), gf, epsilon=eps)
+        assert p.instances == 1, argv
+
+
+@pytest.mark.parametrize("flags", [["--code", "mbr0", "--chi", "3"],
+                                   ["--code", "msr0-div", "--epsilon", "1/2"]])
+def test_build_refuses_a_ratio_the_kind_does_not_take(tmp_path, capsys, flags):
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(6))
+    code, _, err = run(capsys, "build", *flags, "--n", "6", "--k", "3", "--L", "2",
+                       "--source", str(src), "--out", str(tmp_path / "p.json"))
+    assert code == 2, err
+    assert "epsilon = 0" in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_capacity_command(capsys):
@@ -249,8 +344,20 @@ def test_unknown_code_kind_exit_3(tmp_path, capsys):
     assert "unknown code kind" in err
 
 
-# config edits that give a field the wrong type; 1e400 is written as that
-# literal, which json.loads reads as an infinite float
+@pytest.mark.parametrize("command", ["repair", "reconstruct"])
+def test_unknown_placement_kind_exit_3(tmp_path, capsys, command):
+    _, place = build_kind(tmp_path, capsys, "mbr0", 1)
+    obj = json.loads(place.read_text())
+    place.write_text(json.dumps(dict(obj, kind="raid6")))
+    repair, reconstruct = load_commands(tmp_path, place)
+    code, _, err = run(capsys, *(repair if command == "repair" else reconstruct))
+    assert code == 3, err
+    assert "unknown placement kind" in err and "Traceback" not in err
+
+
+# config edits that give a field the wrong type, and a config file that
+# lists no config at all; 1e400 is written as that literal, which json.loads
+# reads as an infinite float
 BAD_CONFIG_EDITS = {
     "chi-string": {"chi": "3"},
     "chi-float": {"chi": 3.0},
@@ -262,15 +369,16 @@ BAD_CONFIG_EDITS = {
     "n-bool": {"n": True},
     "seed-float": {"seed": 1.5},
     "field-m-string": {"field": {"m": "8", "poly": 285}},
+    "empty-list": [],
 }
 
 
 @pytest.mark.parametrize("edit", BAD_CONFIG_EDITS)
 @pytest.mark.parametrize("command", ["verify", "build"])
 def test_bad_config_types_exit_3(tmp_path, capsys, edit, command):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3,
-                               **BAD_CONFIG_EDITS[edit]}).replace("Infinity", "1e400"))
+    cfg, edit = tmp_path / "cfg.json", BAD_CONFIG_EDITS[edit]
+    obj = edit if edit == [] else {"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3, **edit}
+    cfg.write_text(json.dumps(obj).replace("Infinity", "1e400"))
     if command == "verify":
         argv = ["verify", "--config", str(cfg)]
     else:
@@ -360,6 +468,14 @@ def _idx_bool(obj):
     obj["nodes"][0]["symbols"][0]["idx"] = True
 
 
+def _non_canonical_hex(obj):
+    obj["nodes"][0]["symbols"][0]["val_hex"] = " +0x0_0\n"
+
+
+def _padded_hex(obj):  # the same value, spelled as int() and bytes.fromhex accept
+    obj["nodes"][0]["symbols"][0]["val_hex"] = " " + obj["nodes"][0]["symbols"][0]["val_hex"]
+
+
 def load_commands(tmp_path, place):
     """A repair of N(1,2) and a reconstruct from every node of the placement."""
     return (["repair", "--placement", str(place), "--node", "1,2",
@@ -371,7 +487,8 @@ def load_commands(tmp_path, place):
 
 @pytest.mark.parametrize("kind", KIND_SYSTEMS)
 @pytest.mark.parametrize("mutate", [_drop_last, _add_extra, _wrong_s, _outside_field,
-                                    _listed_twice, _outside_topology, _l_string, _idx_bool])
+                                    _listed_twice, _outside_topology, _l_string, _idx_bool,
+                                    _non_canonical_hex, _padded_hex])
 def test_malformed_holding_exit_3(tmp_path, capsys, kind, mutate):
     _, place = build_kind(tmp_path, capsys, kind, 2)
     obj = json.loads(place.read_text())
@@ -392,6 +509,7 @@ PARAM_EDITS = {
     "epsilon-garbage": ("mbr", lambda params: params.update(epsilon="x")),
     "weights-short": ("msr0-nondiv", lambda params: params["parity_weights"].pop()),
     "field-m-20": ("mbr", lambda params: params["field"].update(m=20, poly=0x100009)),
+    "chi-on-msr0-div": ("msr0-div", lambda params: params.update(chi=3)),
 }
 
 

@@ -13,10 +13,11 @@ from clustercodes.codes import build, declared_params, reconstruct, repair
 from clustercodes.errors import ParamError
 from clustercodes.galois import field_create
 from clustercodes.mdscodec import ProductMatrixMsr
+from clustercodes.placement import transcript_to_obj
 from clustercodes.topology import (ClusterTopology, NodeId, node_flat,
                                    nodes_realizing, omega_star)
 
-from oracles import ref_encode, ref_repair
+from oracles import pm_encode, pm_regenerate, pm_repair_symbol, ref_encode, ref_repair
 
 GF8 = field_create(8)
 GF16 = field_create(16)
@@ -59,7 +60,7 @@ def test_wrapped_matches_product_matrix_reference():
     base = ProductMatrixMsr(9, 5, GF8)
     source = list(Random(8).randbytes(base.file_size))
     p = build("msr-wrapped", top, source, GF8, epsilon=Fraction(1, 2))
-    content = base.encode(source)
+    content = pm_encode(base, source)
     for node in top.nodes():
         assert [val for _, val in p.holdings[node]] == content[node_flat(node, top) - 1]
     failed = NodeId(2, 2)
@@ -68,9 +69,9 @@ def test_wrapped_matches_product_matrix_reference():
     received = {}
     for helper, syms in transcript.contributions.items():
         u = node_flat(helper, top) - 1
-        assert {val for _, val in syms} == {base.repair_symbol(u, content[u], f)}
+        assert {val for _, val in syms} == {pm_repair_symbol(base, u, content[u], f)}
         received[u] = syms[0][1]
-    assert [val for _, val in regenerated] == base.regenerate(f, received)
+    assert [val for _, val in regenerated] == pm_regenerate(base, f, received)
 
 
 @pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
@@ -178,3 +179,26 @@ def test_build_rejects_values_outside_the_field(value):
     top = ClusterTopology(6, 3, 2)
     with pytest.raises(ParamError, match="outside"):
         build("mbr0", top, [1, value, 2] * 4, GF8)
+
+
+@pytest.mark.parametrize("kind, shape, ratio", [REFERENCE[1], REFERENCE[6]],
+                         ids=["mbr", "msr-wrapped"])
+def test_transcript_records_each_contribution(kind, shape, ratio):
+    """transcript_to_obj writes every helper's contributions in order, each
+    as its idx and hex value; a computed symbol (msr-wrapped's combination
+    sends) has a null idx."""
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    p = build(kind, top, list(Random(12).randbytes(2 * m_size)), GF8, **ratio)
+    transcript, _ = repair(p, NodeId(2, 1))
+    obj = transcript_to_obj(transcript, GF8)
+    assert obj["failed"] == {"l": 2, "j": 1}
+    assert (obj["beta_i"], obj["beta_c"], obj["gamma"]) == (
+        transcript.beta_i, transcript.beta_c, transcript.gamma)
+    recorded = {NodeId(e["l"], e["j"]): [(x["idx"], int(x["val_hex"], 16))
+                                         for x in e["symbols"]]
+                for e in obj["contributions"]}
+    assert recorded == transcript.contributions
+    assert [NodeId(e["l"], e["j"]) for e in obj["contributions"]] == sorted(recorded)
+    computed = {idx is None for syms in recorded.values() for idx, _ in syms}
+    assert computed == {kind == "msr-wrapped"}

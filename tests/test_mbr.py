@@ -10,10 +10,11 @@ from clustercodes.codes import build
 from clustercodes.codes import reconstruct as reconstruct_mbr
 from clustercodes.codes import repair as repair_mbr
 from clustercodes.galois import field_create
-from clustercodes.mbr import (local_to_tuple, mbr_pos_layout, mbr_zero_layout,
-                              tuple_to_local)
+from clustercodes.mbr import mbr_pos_layout, mbr_zero_layout, tuple_to_local
 from clustercodes.placement import placement_from_obj, placement_to_obj
 from clustercodes.topology import ClusterTopology, NodeId
+
+from oracles import local_to_tuple
 
 GF8 = field_create(8)
 
@@ -246,14 +247,3 @@ def test_placement_serialization_roundtrip():
     assert q.kind == p.kind and q.holdings == p.holdings
     assert placement_to_obj(q) == obj
     assert reconstruct_mbr(q, top.cluster(2)) == src
-
-
-def test_transcript_serialization_roundtrip():
-    from clustercodes.placement import transcript_from_obj, transcript_to_obj
-    top = ClusterTopology(6, 3, 2)
-    p = build_mbr_pos(top, 3, source_for(top, 12, chi=3), GF8)
-    transcript, _ = repair_mbr(p, NodeId(2, 1))
-    obj = transcript_to_obj(transcript, GF8)
-    again = transcript_from_obj(obj)
-    assert again == transcript
-    assert transcript_to_obj(again, GF8) == obj

@@ -8,10 +8,11 @@ import pytest
 from clustercodes.codes import build, generator, reconstruct, repair
 from clustercodes.errors import (InsufficientDataError, ParamError, RegimeError)
 from clustercodes.galois import field_create
-from clustercodes.msr import ProductMatrixMsr, rot_group, rot_node_j
+from clustercodes.msr import ProductMatrixMsr, rot_group
 from clustercodes.topology import ClusterTopology, NodeId, node_flat
 
-from oracles import rank
+from oracles import (pm_encode, pm_reconstruct, pm_regenerate, pm_repair_symbol, rank,
+                     rot_node_j)
 
 GF8 = field_create(8)
 
@@ -284,32 +285,32 @@ class TestProductMatrixBase:
 
     def test_repair_uses_one_symbol_per_helper(self):
         base = ProductMatrixMsr(9, 5, GF8)
-        content = base.encode(rand_syms(20, 0))
+        content = pm_encode(base, rand_syms(20, 0))
         for failed in range(9):
-            received = {u: base.repair_symbol(u, content[u], failed)
+            received = {u: pm_repair_symbol(base, u, content[u], failed)
                         for u in range(9) if u != failed}
             assert len(received) == 8
-            assert base.regenerate(failed, received) == content[failed]
+            assert pm_regenerate(base, failed, received) == content[failed]
 
     def test_reconstruct_from_any_k_sampled(self):
         base = ProductMatrixMsr(9, 5, GF8)
         src = rand_syms(20, 1)
-        content = base.encode(src)
+        content = pm_encode(base, src)
         rng = Random(2)
         for _ in range(15):
             chosen = rng.sample(range(9), 5)
-            assert base.reconstruct({u: content[u] for u in chosen}) == src
+            assert pm_reconstruct(base, {u: content[u] for u in chosen}) == src
 
     def test_small_instance_n3_k2(self):
         base = ProductMatrixMsr(3, 2, GF8)
         src = rand_syms(2, 3)
-        content = base.encode(src)
+        content = pm_encode(base, src)
         for failed in range(3):
-            received = {u: base.repair_symbol(u, content[u], failed)
+            received = {u: pm_repair_symbol(base, u, content[u], failed)
                         for u in range(3) if u != failed}
-            assert base.regenerate(failed, received) == content[failed]
+            assert pm_regenerate(base, failed, received) == content[failed]
         for pair in combinations(range(3), 2):
-            assert base.reconstruct({u: content[u] for u in pair}) == src
+            assert pm_reconstruct(base, {u: content[u] for u in pair}) == src
 
 
 class TestWrapped:
