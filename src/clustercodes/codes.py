@@ -2,7 +2,9 @@
 TABLE is the one list of kinds and gives each its mode, its domain and
 declared parameters, its construction (layout, component codes and repair
 plan; see construction.py) and its build-time search; build, repair,
-regenerate and reconstruct run any construction."""
+regenerate and reconstruct run any construction. A repair plan only says
+what each helper sends: the engine solves how the lost symbols follow from
+the sends once per failed node, on the code's generator."""
 
 from __future__ import annotations
 
@@ -126,6 +128,8 @@ class Kind(NamedTuple):
     declared: Callable[..., dict[str, Any]]  # its domain and declared params
     construction: Callable[[ClusterTopology, GF, dict], Construction]
     search: Callable[[ClusterTopology, GF], dict] = lambda top, gf: {}  # params a build records
+    # FormatError unless a loaded placement's params hold what search records
+    recorded: Callable[[ClusterTopology, GF, dict], None] = lambda top, gf, params: None
 
 
 # Every code kind. Within a mode, select_kind prefers the earlier row.
@@ -133,7 +137,8 @@ TABLE = {
     "mbr0": Kind("mbr", _mbr0, mbr.transfer),
     "mbr": Kind("mbr", _mbr, mbr.transfer),
     "msr0-div": Kind("msr", _msr0_div, msr.div),
-    "msr0-nondiv": Kind("msr", _msr0_nondiv, msr.nondiv, msr.nondiv_search),
+    "msr0-nondiv": Kind("msr", _msr0_nondiv, msr.nondiv, msr.nondiv_search,
+                        msr.nondiv_recorded),
     "msr-stacked": Kind("msr", _msr_stacked, msr.stacked),
     "msr-wrapped": Kind("msr", _msr_wrapped, msr.wrapped,
                         lambda top, gf: {"base": "product-matrix"}),
@@ -221,18 +226,31 @@ def _interleave(columns: list[list[int]], idxs: tuple[int, ...], s: int,
     return list(zip(_indices(idxs, s, theta), chain.from_iterable(zip(*columns))))
 
 
-def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holding]:
-    """Each component encodes all s instances in one call, on the block of its
-    source symbols' per-instance values."""
-    theta, m_size = con.params["theta"], con.params["M"]
-    s = len(source) // m_size
+def _word(con: Construction, gf: GF, source: list[int]) -> list[list[int]]:
+    """Per symbol index (0 unused), its value in each of the len(source)/M
+    instances. Each component encodes all of them in one call, on the block
+    of its source symbols' per-instance values."""
+    m_size = con.params["M"]
     stripes = [source[r::m_size] for r in range(m_size)]
-    word: list[list[int]] = [[]] * (theta + 1)  # symbol -> its value in each instance
+    word: list[list[int]] = [[]] * (con.params["theta"] + 1)
     for comp, lin in zip(con.components, _maps(con, gf)):
         block = stripes[comp.msg]
         for i, col in zip(comp.idx, rs_encode(comp.rs, block) if comp.rs else lin(block)):
             word[i] = col
-    return {node: _interleave([word[i] for i in idxs], idxs, s, theta)
+    return word
+
+
+@lru_cache(maxsize=32)
+def _columns(con: Construction, gf: GF) -> list[list[int]]:
+    """The generator G's column of each symbol index: the encode of the M
+    unit sources, one instance each."""
+    m_size = con.params["M"]
+    return _word(con, gf, [int(r == c) for r in range(m_size) for c in range(m_size)])
+
+
+def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holding]:
+    word, s = _word(con, gf, source), len(source) // con.params["M"]
+    return {node: _interleave([word[i] for i in idxs], idxs, s, con.params["theta"])
             for node, idxs in con.layout.items()}
 
 
@@ -254,13 +272,8 @@ def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
 def generator(p: Placement) -> Matrix:
     """The M x theta encoding matrix: row r is what unit source r encodes to."""
     con = construction(p.kind, p.topology, p.gf, p.params)
-    m_size, theta = con.params["M"], con.params["theta"]
-    rows = [[0] * theta for _ in range(m_size)]
-    units = [int(r == c) for r in range(m_size) for c in range(m_size)]
-    for holding in _encode(con, p.gf, units).values():
-        for idx, val in holding:
-            rows[(idx - 1) // theta][(idx - 1) % theta] = val
-    return Matrix(m_size, theta, rows)
+    return Matrix(con.params["M"], con.params["theta"],
+                  [list(row) for row in zip(*_columns(con, p.gf)[1:])])
 
 
 def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
@@ -325,9 +338,9 @@ def check_params(p: Placement) -> None:
     """Raise FormatError unless p's params are those a build of its kind
     records: a kind of TABLE, an integer chi where there is one, a 'p/q'
     epsilon, a topology and chi in the kind's domain, the declared
-    parameters and, for msr0-nondiv, L*(n_I-1) evaluation points and parity
-    weights that are nonzero field elements. A placement read from a file is
-    checked once on load; the engine itself trusts its params."""
+    parameters and what the kind's search records (its row's `recorded`
+    check). A placement read from a file is checked once on load; the engine
+    itself trusts its params."""
     if p.kind not in TABLE:
         raise FormatError(f"unknown placement kind {p.kind!r}")
     chi, eps = p.params.get("chi"), p.params.get("epsilon")
@@ -348,14 +361,7 @@ def check_params(p: Placement) -> None:
     if bad is not None:
         key, want, actual = bad
         raise FormatError(f"placement param {key}={actual}, but {p.kind} declares {want}")
-    if TABLE[p.kind].search is msr.nondiv_search:
-        size = p.topology.L * (p.topology.n_I - 1)
-        for key in ("eval_points", "parity_weights"):
-            vals = p.params.get(key)
-            if (type(vals) is not list or len(vals) != size or
-                    not all(type(x) is int and 0 < x < p.gf.order for x in vals)):
-                raise FormatError(f"placement {key} is not {size} nonzero elements "
-                                  f"of GF(2^{p.gf.m})")
+    TABLE[p.kind].recorded(p.topology, p.gf, p.params)
 
 
 class _Repair(NamedTuple):
@@ -363,27 +369,37 @@ class _Repair(NamedTuple):
     plan: RepairPlan
     mixers: tuple[NodeId, ...]  # the helpers that send combinations, in plan order
     mix: LinearMap  # their stored symbols, alpha per mixer -> each combination send
-    solve: LinearMap  # the received vector -> lost * y, per equation
+    solve: LinearMap  # the received vector -> the failed node's symbols
 
 
 @lru_cache(maxsize=256)
 def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
-    plan = con.repair_plan(failed)
-    alpha = con.params["alpha"]
-    combos = [(h, send[0]) for h, sends in plan.sends.items() for send in sends
+    """Compile the plan for `failed`: run its sends on G's columns, which
+    gives R (M x received entries), and solve R X = L for L, G's columns of
+    the failed node's symbols. Then X maps every received vector to the lost
+    symbols, for every payload. A plan whose sends do not determine them, or
+    in which the failed node sends, is a ParamError naming the node."""
+    plan, alpha, m_size = con.repair_plan(failed), con.params["alpha"], con.params["M"]
+    if plan.get(failed):
+        raise ParamError(f"the repair plan of {failed} reads {failed} itself")
+    combos = [(h, send[0]) for h, sends in plan.items() for send in sends
               if not isinstance(send, int)]
     mixers = tuple(dict.fromkeys(h for h, _ in combos))
-    mix = [[0] * len(combos) for _ in range(len(mixers) * alpha)]
+    rows = [[0] * len(combos) for _ in range(len(mixers) * alpha)]
     for col, (h, coeffs) in enumerate(combos):
         for a, c in enumerate(coeffs):
-            mix[mixers.index(h) * alpha + a][col] = c
-    width = sum(len(sends) for sends in plan.sends.values())
-    solve = [[0] * len(plan.decode) for _ in range(width)]
-    for col, (_, row) in enumerate(plan.decode):
-        for r, c in row:
-            solve[r][col] ^= c
-    return _Repair(plan, mixers, LinearMap(gf, Matrix(len(mix), len(combos), mix)),
-                   LinearMap(gf, Matrix(width, len(plan.decode), solve)))
+            rows[mixers.index(h) * alpha + a][col] = c
+    mix = LinearMap(gf, Matrix(len(rows), len(combos), rows))
+    cols = _columns(con, gf)
+    mixed = iter(mix([cols[i] for h in mixers for i in con.layout[h]]) if mixers else ())
+    received = [cols[send] if isinstance(send, int) else next(mixed)
+                for sends in plan.values() for send in sends]
+    lost = [cols[i] for i in con.layout[failed]]
+    res = mat_solve(gf, *(Matrix(m_size, len(c), [[x[r] for x in c] for r in range(m_size)])
+                          for c in (received, lost)))
+    if res.solution is None:
+        raise ParamError(f"the repair plan of {failed} does not determine its symbols")
+    return _Repair(plan, mixers, mix, LinearMap(gf, res.solution))
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
@@ -392,15 +408,15 @@ def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
     con, s = _engine(p, [failed])
     plan, mixers, mix, _ = _plan(con, p.gf, failed)
     theta, alpha = con.params["theta"], con.params["alpha"]
-    senders = [h for h, sends in plan.sends.items() if sends]
+    senders = [h for h, sends in plan.items() if sends]
     content = dict(zip(senders, _content(p, con, senders, s)))
     mixed = iter(mix([content[h][1][a::alpha] for h in mixers for a in range(alpha)])
                  if mixers else ())
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {h: [] for h in plan.sends}
+    contributions: dict[NodeId, list[tuple[int | None, int]]] = {h: [] for h in plan}
     for helper in senders:
         idxs, vals = content[helper]
         columns = []  # per send and copy: the (index, value) it sends in each instance
-        for send in plan.sends[helper]:
+        for send in plan[helper]:
             if isinstance(send, int):
                 r = idxs.index(send)
                 columns.append(list(zip(range(send, send + s * theta, theta),
@@ -419,7 +435,7 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
     con, s = _engine(p, [transcript.failed])
     plan, _, _, solve = _plan(con, p.gf, transcript.failed)
     received = []  # per entry of the received vector: its value in each instance
-    for helper, sends in plan.sends.items():
+    for helper, sends in plan.items():
         if not sends:
             continue
         # where in one instance's share of the helper's symbols each send starts
@@ -433,11 +449,7 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
                               f"has {s * width}")
         _, vals = zip(*syms)
         received += [vals[f::width] for f in firsts]
-    columns = []
-    for (lost, _), col in zip(plan.decode, solve(received)):
-        inv = p.gf.div(1, lost)
-        columns.append(col if inv == 1 else p.gf.scale_row(inv, col))
-    return _interleave(columns, con.layout[transcript.failed], s, con.params["theta"])
+    return _interleave(solve(received), con.layout[transcript.failed], s, con.params["theta"])
 
 
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
@@ -479,8 +491,9 @@ def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
 def parse_config(obj: dict) -> dict[str, Any]:
     """Validate a config object: n, k, L, code, chi|epsilon, field, seed, expect.
 
-    Out-of-range parameter values surface as ParamError; structural problems
-    (missing keys, wrong types, unknown kinds) as FormatError.
+    Out-of-range parameter values, inputs outside the kind's domain included,
+    surface as ParamError; structural problems (missing keys, wrong types,
+    unknown kinds) as FormatError.
     """
     try:
         top = ClusterTopology(*(as_int(obj[key], f"config {key}")
@@ -509,6 +522,7 @@ def parse_config(obj: dict) -> dict[str, Any]:
                               as_int(fobj["poly"], "config field poly"))
         else:
             gf = None  # promoted automatically once the code size is known
+        declared_params(kind, top, chi, epsilon)  # the kind's domain holds the inputs
         return {"topology": top, "kind": kind, "chi": chi, "epsilon": epsilon,
                 "gf": gf, "seed": as_int(obj.get("seed", 0), "config seed"),
                 "expect": expect}

@@ -1,5 +1,10 @@
 """What every code kind is: a node layout, component codes and a repair plan.
 
+A repair plan says only what each helper sends for the failed node. How the
+lost symbols follow from those sends is not written here: the engine solves
+it once from the code's generator (codes._plan), which also certifies that
+the sends determine every lost symbol of every codeword.
+
 Symbol indices are 1-based within one instance; instance `inst` of a
 placement stores symbol i under the global index inst*theta + i.
 """
@@ -15,7 +20,7 @@ from .topology import NodeId
 # A helper sends a stored symbol (its index), or a linear combination of its
 # stored symbols in layout order, repeated on the wire `copies` times.
 Send = Union[int, tuple[tuple[int, ...], int]]
-Equation = tuple[int, list[tuple[int, int]]]  # (lost, [(position, coefficient)])
+RepairPlan = dict[NodeId, list[Send]]  # per helper, what it sends for each instance
 
 
 @dataclass(frozen=True)
@@ -31,16 +36,6 @@ class Component:
     decodes: bool = True
 
 
-@dataclass(frozen=True)
-class RepairPlan:
-    """Per helper, what it sends for each instance; per symbol y of the failed
-    node's layout, an equation lost * y = sum of coefficient * received[position]
-    over the received vector (the helpers' sends in order, one entry per send
-    however many copies)."""
-    sends: dict[NodeId, list[Send]]
-    decode: list[Equation]
-
-
 @dataclass(frozen=True, eq=False)
 class Construction:
     """One kind's code, shared by every placement of the same parameters."""
@@ -48,11 +43,3 @@ class Construction:
     layout: dict[NodeId, tuple[int, ...]]  # sorted per-instance symbol indices
     components: tuple[Component, ...]
     repair_plan: Callable[[NodeId], RepairPlan]
-
-
-def stored_plan(sends: dict[NodeId, list[int]], decode: list[Equation]) -> RepairPlan:
-    """A plan whose helpers send stored symbols; the equations name received
-    symbols by their index, which becomes their position in the received vector."""
-    where = {i: r for r, i in enumerate(i for out in sends.values() for i in out)}
-    return RepairPlan(sends, [(lost, [(where[i], c) for i, c in row])
-                              for lost, row in decode])

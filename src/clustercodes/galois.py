@@ -114,9 +114,7 @@ class GF:
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.exp[self.order - 1 - self.log[a]]
+        return self.div(1, a)
 
     def div(self, a: int, b: int) -> int:
         if b == 0:

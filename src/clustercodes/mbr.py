@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .construction import Component, Construction, stored_plan
+from .construction import Component, Construction
 from .errors import ParamError
 from .galois import GF
 from .mdscodec import rs_create
@@ -64,9 +64,7 @@ def transfer(top: ClusterTopology, gf: GF, params: dict) -> Construction:
 
     def plan(failed: NodeId):
         mine = set(layout[failed])
-        sends = {h: [i for i in idxs if i in mine]
-                 for h, idxs in layout.items() if h != failed}
-        return stored_plan(sends, [(1, [(i, 1)]) for i in layout[failed]])
+        return {h: [i for i in idxs if i in mine] for h, idxs in layout.items() if h != failed}
 
     whole = Component(code.generator, slice(0, m_size), tuple(range(1, theta + 1)), code)
     return Construction(params, {node: tuple(idxs) for node, idxs in layout.items()},

@@ -19,15 +19,15 @@ from __future__ import annotations
 from random import Random
 
 from .capacity import derive
-from .construction import Component, Construction, RepairPlan, stored_plan
-from .errors import ParamError
+from .construction import Component, Construction, RepairPlan
+from .errors import FormatError, ParamError
 from .galois import GF
-from .mdscodec import (Matrix, ProductMatrixMsr, generator_min_distance, mat_inv,
-                       mat_rank, mat_solve, rs_create, vec_mat)
-from .topology import ClusterTopology, NodeId, contact_sets, node_flat, node_pair
+from .mdscodec import (Matrix, ProductMatrixMsr, generator_min_distance, mat_rank,
+                       rs_create, vec_mat)
+from .topology import ClusterTopology, NodeId, contact_sets, node_flat
 
 
-def _whole_sends(layout: dict, failed: NodeId) -> dict:
+def _whole_sends(layout: dict, failed: NodeId) -> RepairPlan:
     """Cluster mates send everything they store, remote nodes nothing."""
     return {h: list(layout[h]) if h.l == failed.l else [] for h in layout if h != failed}
 
@@ -54,14 +54,9 @@ def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     summed = Matrix(m_size, n, [row for _ in range(n_i - 1) for row in code.generator.data])
     parity = Component(summed, slice(0, m_size),
                        tuple(i * n_i for i in range(1, n + 1)), decodes=False)
-
-    def plan(failed: NodeId) -> RepairPlan:
-        # each lost element is the sum of the rest of its group
-        rows = [(1, [(i - 1 - (i - 1) % n_i + t2, 1) for t2 in range(1, n_i + 1)
-                     if t2 != (i - 1) % n_i + 1]) for i in layout[failed]]
-        return stored_plan(_whole_sends(layout, failed), rows)
-
-    return Construction(params, layout, (*slots, parity), plan)
+    # the cluster mates hold the rest of each of the failed node's groups
+    return Construction(params, layout, (*slots, parity),
+                        lambda failed: _whole_sends(layout, failed))
 
 
 # ------------------------------------------------------------ non-divisible
@@ -118,26 +113,27 @@ def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
     return found
 
 
-def cluster_coeffs(weights: list[int], n_i: int, l: int) -> list[int]:
-    """Coefficients c with sum_j c_j * y(N(l,j)) = 0: the cluster's parity
-    relation (weights on the data nodes, 1 on the parity node)."""
-    return [weights[(l - 1) * (n_i - 1) + j - 1] for j in range(1, n_i)] + [1]
+def nondiv_recorded(top: ClusterTopology, gf: GF, params: dict) -> None:
+    """FormatError unless a loaded placement's params hold what nondiv_search
+    records: L*(n_I-1) distinct nonzero evaluation points and as many nonzero
+    parity weights, all of them elements of gf."""
+    size = _nondiv_dims(top)[0]
+    for key, what in (("eval_points", "distinct nonzero"), ("parity_weights", "nonzero")):
+        vals = params.get(key)
+        if (type(vals) is not list or len(vals) != size or
+                not all(type(x) is int and 0 < x < gf.order for x in vals) or
+                key == "eval_points" and len(set(vals)) != size):
+            raise FormatError(f"placement {key} is not {size} {what} elements "
+                              f"of GF(2^{gf.m})")
 
 
 def nondiv(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     """Node u stores coordinate u of the overall generator: one symbol per node."""
     gen = _nondiv_generator(top, gf, params["eval_points"], params["parity_weights"])
     layout = {node: (node_flat(node, top),) for node in top.nodes()}
-
-    def plan(failed: NodeId) -> RepairPlan:
-        # the lost symbol is decoded from its cluster's parity relation
-        coeffs = cluster_coeffs(params["parity_weights"], top.n_I, failed.l)
-        row = [(node_flat(h, top), coeffs[h.j - 1]) for h in top.cluster(failed.l)
-               if h != failed]
-        return stored_plan(_whole_sends(layout, failed), [(coeffs[failed.j - 1], row)])
-
     whole = Component(gen, slice(0, gen.rows), tuple(range(1, top.n + 1)))
-    return Construction(params, layout, (whole,), plan)
+    # the cluster mates' symbols fix the lost one through the cluster's parity
+    return Construction(params, layout, (whole,), lambda failed: _whole_sends(layout, failed))
 
 
 # ----------------------------------------------------------------- stacked
@@ -147,27 +143,19 @@ def stacked(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     n*(t-1) + u on the node of flat index u."""
     n, k = top.n, top.k
     code = rs_create(n, k, gf)
-    gen = code.generator
     layout = {node: tuple(n * t + node_flat(node, top) for t in range(n - k))
               for node in top.nodes()}
 
     def plan(failed: NodeId) -> RepairPlan:
         # cluster mates send everything; the t-th remote helper in flat order
         # sends its coordinate of codeword t, completing k coordinates of each
-        f = node_flat(failed, top)
-        intra = [node_flat(h, top) for h in top.cluster(failed.l) if h != failed]
-        cross = [node_flat(h, top) for h in top.nodes() if h.l != failed.l]
         sends = _whole_sends(layout, failed)
-        rows = []
-        for t, u in enumerate(cross):
-            sends[node_pair(u, top)] = [n * t + u]
-            coords = intra + [u]
-            x = mat_solve(gf, gen.take_columns([c - 1 for c in coords]),
-                          gen.column(f - 1)).solution
-            rows.append((1, [(n * t + c, xc) for c, xc in zip(coords, x)]))
-        return stored_plan(sends, rows)
+        remote = [h for h in top.nodes() if h.l != failed.l]
+        for t, h in enumerate(remote):
+            sends[h] = [n * t + node_flat(h, top)]
+        return sends
 
-    words = tuple(Component(gen, slice(t * k, (t + 1) * k),
+    words = tuple(Component(code.generator, slice(t * k, (t + 1) * k),
                             tuple(n * t + u for u in range(1, n + 1)), code)
                   for t in range(n - k))
     return Construction(params, layout, words, plan)
@@ -187,15 +175,9 @@ def wrapped(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     def plan(failed: NodeId) -> RepairPlan:
         # every survivor h sends <content, phi_f>, phi_f the first alpha entries
         # of psi_f; the n-1 = 2*alpha received symbols are psi_h [S1; S2] phi_f,
-        # so y = Psi^-1 received and content_f = y_1 + lambda_f y_2
-        f = node_flat(failed, top) - 1
-        helpers = [h for h in top.nodes() if h != failed]
-        send = tuple(base.psi[f][:alpha])
-        sends = {h: [(send, chi if h.l == failed.l else 1)] for h in helpers}
-        inv = mat_inv(gf, Matrix(len(helpers), 2 * alpha,
-                                 [base.psi[node_flat(h, top) - 1] for h in helpers])).data
-        return RepairPlan(sends, [(1, [(r, inv[a][r] ^ gf.mul(base.lam[f], inv[alpha + a][r]))
-                                       for r in range(len(helpers))]) for a in range(alpha)])
+        # which fix the failed node's content; mates repeat theirs chi times
+        send = tuple(base.psi[node_flat(failed, top) - 1][:alpha])
+        return {h: [(send, chi if h.l == failed.l else 1)] for h in top.nodes() if h != failed}
 
     whole = Component(Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]),
                       slice(0, base.file_size), tuple(range(1, len(rows) + 1)))

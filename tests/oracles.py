@@ -12,7 +12,8 @@ from math import comb
 
 from clustercodes.capacity import mbr_theta_pos
 from clustercodes.errors import ParamError
-from clustercodes.mdscodec import Matrix, mat_solve
+from clustercodes.mdscodec import Matrix, ProductMatrixMsr, mat_solve
+from clustercodes.topology import node_flat
 
 
 def gf2_mod(a: int, b: int) -> int:
@@ -109,34 +110,82 @@ def ref_encode(con, gf, source: list[int]) -> dict:
     return holdings
 
 
-def ref_repair(con, gf, holdings: dict, failed, s: int) -> tuple[dict, list]:
-    """Per-element repair of `failed` from a construction's plan, one instance
-    at a time: (what each helper sends, the regenerated holding)."""
+def _paper_equations(p, con, failed) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The paper's decode of each of the failed node's symbols, in layout
+    order, from the stored symbols its helpers send: (lost, [(symbol index,
+    c)]) reads lost * y = sum of c * that symbol. The package solves its
+    decode from the generator instead; these are the hand equations it is
+    checked against (msr-wrapped, whose helpers send combinations, is checked
+    against pm_regenerate)."""
+    top, gf, mine = p.topology, p.gf, con.layout[failed]
+    n, n_i = top.n, top.n_I
+    if p.kind in ("mbr0", "mbr"):
+        # repair by transfer: each lost symbol is copied from its other holder
+        return [(1, [(i, 1)]) for i in mine]
+    if p.kind == "msr0-div":
+        # each lost element is the sum of the rest of its parity group
+        return [(1, [(i - 1 - (i - 1) % n_i + t, 1) for t in range(1, n_i + 1)
+                     if t != (i - 1) % n_i + 1]) for i in mine]
+    if p.kind == "msr0-nondiv":
+        # the cluster's parity relation: its data nodes' symbols under their
+        # weights and the parity node's under 1 sum to zero
+        l = failed.l
+        w = p.params["parity_weights"][(l - 1) * (n_i - 1):l * (n_i - 1)] + [1]
+        return [(w[failed.j - 1], [(node_flat(h, top), w[h.j - 1])
+                                   for h in top.cluster(l) if h != failed])]
+    assert p.kind == "msr-stacked", p.kind
+    # coordinate f of codeword t from k of its coordinates: the cluster mates'
+    # and the t-th remote node's in flat order
+    gen, f = con.components[0].generator, node_flat(failed, top)
+    intra = [node_flat(h, top) for h in top.cluster(failed.l) if h != failed]
+    cross = [node_flat(h, top) for h in top.nodes() if h.l != failed.l]
+    rows = []
+    for t, u in enumerate(cross):
+        coords = intra + [u]
+        x = mat_solve(gf, gen.take_columns([c - 1 for c in coords]), gen.column(f - 1)).solution
+        rows.append((1, [(n * t + c, xc) for c, xc in zip(coords, x)]))
+    return rows
+
+
+def ref_repair(p, con, failed) -> tuple[dict, list]:
+    """Per-element repair of `failed` in placement p, one instance at a time:
+    (what each helper sends under the construction's plan, the holding the
+    paper's decode rebuilds from it)."""
+    gf, top = p.gf, p.topology
     theta, alpha = con.params["theta"], con.params["alpha"]
     plan = con.repair_plan(failed)
-    sent = {h: [] for h in plan.sends}
+    wrapped = p.kind == "msr-wrapped"
+    pm = ProductMatrixMsr(top.n, top.k, gf) if wrapped else None
+    equations = None if wrapped else _paper_equations(p, con, failed)
+    sent = {h: [] for h in plan}
     rebuilt = []
-    for inst in range(s):
-        base, received = inst * theta, []
-        for h, sends in plan.sends.items():
-            mine = [val for _, val in holdings[h][inst * alpha:(inst + 1) * alpha]]
+    for inst in range(p.instances):
+        base, received = inst * theta, {}  # stored symbol index, or sending node -> value
+        for h, sends in plan.items():
+            mine = [val for _, val in p.holdings[h][inst * alpha:(inst + 1) * alpha]]
             value = dict(zip(con.layout[h], mine))
             for send in sends:
                 if isinstance(send, int):
                     sent[h].append((base + send, value[send]))
-                    received.append(value[send])
+                    received[send] = value[send]
                     continue
                 coeffs, copies = send
                 val = 0
                 for c, x in zip(coeffs, mine):
                     val ^= gf.mul(c, x)
                 sent[h] += [(None, val)] * copies
-                received.append(val)
-        for i, (lost, row) in zip(con.layout[failed], plan.decode):
-            acc = 0
-            for r, c in row:
-                acc ^= gf.mul(c, received[r])
-            rebuilt.append((base + i, gf.div(acc, lost)))
+                received[h] = val
+        if wrapped:
+            ys = pm_regenerate(pm, node_flat(failed, top) - 1,
+                               {node_flat(h, top) - 1: v for h, v in received.items()})
+        else:
+            ys = []
+            for lost, row in equations:
+                acc = 0
+                for i, c in row:
+                    acc ^= gf.mul(c, received[i])
+                ys.append(gf.div(acc, lost))
+        rebuilt += [(base + i, y) for i, y in zip(con.layout[failed], ys)]
     return sent, rebuilt
 
 

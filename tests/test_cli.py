@@ -508,6 +508,14 @@ PARAM_EDITS = {
     "M-off-by-one": ("mbr", lambda params: params.update(M=17)),
     "epsilon-garbage": ("mbr", lambda params: params.update(epsilon="x")),
     "weights-short": ("msr0-nondiv", lambda params: params["parity_weights"].pop()),
+    "weight-zero": ("msr0-nondiv", lambda params: params.update(
+        parity_weights=[0, *params["parity_weights"][1:]])),
+    "weight-float": ("msr0-nondiv", lambda params: params.update(
+        parity_weights=[float(w) for w in params["parity_weights"]])),
+    "point-outside-field": ("msr0-nondiv", lambda params: params.update(
+        eval_points=[256, *params["eval_points"][1:]])),
+    "point-duplicate": ("msr0-nondiv", lambda params: params.update(
+        eval_points=[params["eval_points"][1], *params["eval_points"][1:]])),
     "field-m-20": ("mbr", lambda params: params["field"].update(m=20, poly=0x100009)),
     "chi-on-msr0-div": ("msr0-div", lambda params: params.update(chi=3)),
 }
@@ -524,6 +532,28 @@ def test_bad_placement_params_exit_3(tmp_path, capsys, edit, command):
     repair, reconstruct = load_commands(tmp_path, place)
     code, _, err = run(capsys, *(repair if command == "repair" else reconstruct))
     assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
+
+
+# configs whose kind's domain does not hold their inputs
+OUT_OF_DOMAIN = {
+    "mbr0-chi-3": {"n": 6, "k": 3, "L": 2, "code": "mbr0", "chi": 3},
+    "msr0-div-n_I-not-dividing-k": {"n": 6, "k": 4, "L": 2, "code": "msr0-div"},
+}
+
+
+@pytest.mark.parametrize("config", OUT_OF_DOMAIN)
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_config_outside_its_kinds_domain_exit_2(tmp_path, capsys, config, command):
+    """verify --config refuses such a config as build does, with exit 2."""
+    cfg, src = tmp_path / "cfg.json", tmp_path / "src.bin"
+    cfg.write_text(json.dumps(OUT_OF_DOMAIN[config]))
+    src.write_bytes(bytes(6))
+    argv = {"verify": ["verify", "--config", str(cfg)],
+            "build": ["build", "--config", str(cfg), "--source", str(src),
+                      "--out", str(tmp_path / "p.json")]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
     assert "error:" in err and "Traceback" not in err
 
 

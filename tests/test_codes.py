@@ -2,6 +2,7 @@
 systems, the wrapped construction against its product-matrix reference, and
 block encoding and repair against per-element references."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -125,7 +126,7 @@ def test_block_engine_matches_per_element_reference(kind, shape, ratio, gf):
         assert p.holdings == ref_encode(con, gf, source), s
         for node in top.nodes():
             transcript, regenerated = repair(p, node)
-            sent, rebuilt = ref_repair(con, gf, p.holdings, node, s)
+            sent, rebuilt = ref_repair(p, con, node)
             assert transcript.contributions == sent, (s, node)
             assert regenerated == rebuilt == p.holdings[node], (s, node)
 
@@ -158,9 +159,9 @@ def test_parse_rational_rejects_non_rationals(text):
 
 @pytest.mark.parametrize("s", [1, 64])
 def test_repair_divides_by_the_lost_coefficient(s):
-    """msr0-nondiv under parity weights other than 1: the equation that
-    rebuilds a data node reads weight * y = sum of the others, so repair
-    must divide by the weight."""
+    """msr0-nondiv under parity weights other than 1: the paper's equation
+    that rebuilds a data node reads weight * y = sum of the others, so the
+    repair solved from the generator must agree with dividing by the weight."""
     top = ClusterTopology(6, 4, 2)
     source = list(Random(s).randbytes(3 * s))
     p = build("msr0-nondiv", top, source, GF8)
@@ -169,9 +170,59 @@ def test_repair_divides_by_the_lost_coefficient(s):
     p = replace(p, params=params, holdings=ref_encode(con, GF8, source))
     for node in top.nodes():
         transcript, regenerated = repair(p, node)
-        sent, rebuilt = ref_repair(con, GF8, p.holdings, node, s)
+        sent, rebuilt = ref_repair(p, con, node)
         assert transcript.contributions == sent
         assert regenerated == rebuilt == p.holdings[node], node
+
+
+def _helper_dropped(plan, top):
+    """The first helper that sends anything sends nothing."""
+    def broken(failed):
+        sends = dict(plan(failed))
+        sends[next(h for h, out in sends.items() if out)] = []
+        return sends
+    return broken
+
+
+def _coefficient_changed(plan, top):
+    """The first helper's combination has its first coefficient changed."""
+    def broken(failed):
+        sends = dict(plan(failed))
+        helper = next(iter(sends))
+        [(coeffs, copies)] = sends[helper]
+        sends[helper] = [((coeffs[0] ^ 1, *coeffs[1:]), copies)]
+        return sends
+    return broken
+
+
+def _rotation_shifted(plan, top):
+    """The plan of the next node of the cluster, one rotation step on: it
+    reads the failed node and not that one."""
+    return lambda failed: plan(NodeId(failed.l, failed.j % top.n_I + 1))
+
+
+BROKEN_PLANS = {
+    "helper-dropped": ("mbr0", (6, 3, 2), {}, _helper_dropped),
+    "coefficient-changed": ("msr-wrapped", (9, 5, 3), {"chi": 2}, _coefficient_changed),
+    "rotation-shifted": ("msr0-div", (6, 3, 2), {}, _rotation_shifted),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_PLANS)
+def test_repair_refuses_a_plan_that_does_not_determine_the_node(monkeypatch, case):
+    """A plan whose sends do not fix every lost symbol of every codeword, or
+    that reads the failed node, is a ParamError naming the node, never a
+    wrong holding."""
+    kind, shape, ratio, breaker = BROKEN_PLANS[case]
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    p = build(kind, top, list(Random(5).randbytes(2 * m_size)), GF8, **ratio)
+    con = codes.construction(kind, top, GF8, p.params)
+    broken = replace(con, repair_plan=breaker(con.repair_plan, top))
+    monkeypatch.setattr(codes, "construction", lambda *args: broken)
+    for node in top.nodes():
+        with pytest.raises(ParamError, match=re.escape(str(node))):
+            repair(p, node)
 
 
 @pytest.mark.parametrize("value", [-1, 256])
