@@ -377,11 +377,17 @@ def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
     """Compile the plan for `failed`: run its sends on G's columns, which
     gives R (M x received entries), and solve R X = L for L, G's columns of
     the failed node's symbols. Then X maps every received vector to the lost
-    symbols, for every payload. A plan whose sends do not determine them, or
-    in which the failed node sends, is a ParamError naming the node."""
+    symbols, for every payload. A plan whose sends do not determine them, in
+    which the failed node sends, or in which a helper sends a symbol it does
+    not store, is a ParamError naming the node."""
     plan, alpha, m_size = con.repair_plan(failed), con.params["alpha"], con.params["M"]
     if plan.get(failed):
         raise ParamError(f"the repair plan of {failed} reads {failed} itself")
+    for h, sends in plan.items():
+        stray = [i for i in sends if isinstance(i, int) and i not in con.layout.get(h, ())]
+        if stray:
+            raise ParamError(f"the repair plan of {failed} has {h} send symbol {stray[0]}, "
+                             f"which {h} does not store")
     combos = [(h, send[0]) for h, sends in plan.items() for send in sends
               if not isinstance(send, int)]
     mixers = tuple(dict.fromkeys(h for h, _ in combos))

@@ -217,6 +217,13 @@ class LinearMap:
         return out
 
 
+@lru_cache(maxsize=128)
+def _stripe_map(gf: GF, rows: tuple[tuple[int, ...], ...]) -> LinearMap:
+    """The map of a matrix given as row tuples, its stripe terms compiled
+    once for every wide block it is applied to."""
+    return LinearMap(gf, Matrix(len(rows), len(rows[0]) if rows else 0, rows))
+
+
 def _row_reduce(gf: GF, rows: list[list[int]],
                 pivot_cols: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form in the first pivot_cols columns, each row
@@ -272,21 +279,45 @@ class SolveResult:
         return self.consistent and not self.free_cols
 
 
+@lru_cache(maxsize=128)
+def _eliminated(gf: GF, rows: tuple[tuple[int, ...], ...],
+                cols: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A's elimination, once per coefficient matrix: (rank, pivot columns, T
+    transposed). T is what eliminating [A | I] leaves in the place of I: the
+    row operations of the elimination, which depend on A alone, so T b is the
+    right-hand side that eliminating [A | b] leaves. T comes transposed
+    because LinearMap computes x G."""
+    n = len(rows)
+    aug, pivots = _row_reduce(gf, [[*row, *(int(i == j) for j in range(n))]
+                                   for i, row in enumerate(rows)], cols)
+    return len(pivots), tuple(pivots), tuple(tuple(row[cols + r] for row in aug)
+                                             for r in range(n))
+
+
 def mat_solve(gf: GF, a: Matrix, b: list[int] | Matrix) -> SolveResult:
     """Solve A x = b for a vector b, or for a Matrix block b with one
     right-hand side per column in a single elimination (a vector is the
-    one-column block)."""
+    one-column block).
+
+    The rule is LinearMap's: a block with at least as many columns as A has
+    rows is solved as T b, by the stripe kernel, for the cached elimination
+    T of [A | I] (_eliminated, and T's compiled map in _stripe_map); a
+    narrower one by eliminating [A | b]."""
     block = isinstance(b, Matrix)
     rhs, width = (b.data, b.cols) if block else ([[x] for x in b], 1)
     if len(rhs) != a.rows:
         raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
-    aug, pivots = _row_reduce(gf, [row + r for row, r in zip(a.data, rhs)], a.cols)
-    rank = len(pivots)
-    if any(any(row[a.cols:]) for row in aug[rank:]):
+    if block and width >= a.rows:
+        rank, pivots, t = _eliminated(gf, tuple(map(tuple, a.data)), a.cols)
+        reduced = _stripe_map(gf, t)(rhs)
+    else:
+        aug, pivots = _row_reduce(gf, [row + r for row, r in zip(a.data, rhs)], a.cols)
+        rank, reduced = len(pivots), [row[a.cols:] for row in aug]
+    if any(any(row) for row in reduced[rank:]):
         return SolveResult(None, rank, [])  # some row reads 0 = nonzero
     x = [[0] * width for _ in range(a.cols)]
-    for row, c in zip(aug, pivots):
-        x[c] = row[a.cols:]
+    for row, c in zip(reduced, pivots):
+        x[c] = row
     free = [c for c in range(a.cols) if c not in pivots]
     return SolveResult(Matrix(a.cols, width, x) if block else [row[0] for row in x],
                        rank, free)
@@ -376,8 +407,11 @@ def rs_decode(code: RsCode,
     A value is one symbol, or a list of one symbol per instance: a block of
     instances decoded by one elimination, whose message is then a list of
     per-instance lists, one per message symbol. Needs k_in distinct
-    coordinates; duplicate and surplus shares are checked against the
-    decoded codeword in every instance, and a disagreement raises
+    coordinates. Duplicate shares are checked against each other, and the
+    surplus ones against the codeword of the decoded message, in every
+    instance, by one map: the code's own instance by instance when the block
+    is narrower than the codeword, otherwise that of the surplus columns
+    alone, compiled once per column set. A disagreement raises
     InconsistentSharesError.
     """
     block = bool(shares) and not isinstance(shares[0][1], int)
@@ -395,19 +429,22 @@ def rs_decode(code: RsCode,
         )
     width = len(shares[0][1]) if block else 1
     coords = sorted(seen)
-    base = coords[:code.k_in]
+    base, surplus = coords[:code.k_in], coords[code.k_in:]
     sub = code.generator.take_columns([c - 1 for c in base])
     res = mat_solve(code.gf, sub.transpose(), Matrix(code.k_in, width, [seen[c] for c in base]))
     message = res.solution.data  # unique: Vandermonde submatrix is invertible
-    gen = code.generator.data
-    for c in coords[code.k_in:]:
-        predicted = [0] * width
-        for i in range(code.k_in):
-            predicted = code.gf.addmul_row(predicted, gen[i][c - 1], message[i])
-        if predicted != seen[c]:
-            raise InconsistentSharesError(
-                f"share at coordinate {c} disagrees with decoded message"
-            )
+    if surplus:
+        if width < code.n_out:  # instance by instance: the code's own map
+            word = code.map(message)
+            predicted = [word[c - 1] for c in surplus]
+        else:  # by stripe: a map of the surplus columns alone
+            cols = code.generator.take_columns([c - 1 for c in surplus])
+            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data)))(message)
+        for c, row in zip(surplus, predicted):
+            if row != seen[c]:
+                raise InconsistentSharesError(
+                    f"share at coordinate {c} disagrees with decoded message"
+                )
     return message if block else [row[0] for row in message]
 
 

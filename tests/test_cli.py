@@ -607,22 +607,29 @@ def test_dump_generator_encodes_the_placement(tmp_path, capsys, kind):
     assert stored == {i + 1: val for i, val in enumerate(word)}
 
 
-@pytest.mark.parametrize("kind", KIND_SYSTEMS)
-def test_last_instance_corruption_caught(tmp_path, capsys, kind):
-    """One in-field flip in the last of s = 8 instances, on a symbol a decoding
-    component reads: decoding from every node notices it."""
+@pytest.mark.parametrize("kind, s, copies", [
+    pytest.param(kind, s, copies,
+                 id=kind if (s, copies) == (8, "one") else f"{kind}-s{s}-{copies}")
+    for s in (8, 64) for copies in ("one", "every") for kind in KIND_SYSTEMS])
+def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
+    """One in-field flip in the last of s instances, on a symbol a decoding
+    component reads, in one stored copy of it or in every copy: decoding from
+    every node notices it. One copy of a symbol the MBR codes store twice is
+    caught as a duplicate that disagrees; every copy, or the one copy of an
+    MSR symbol, as a share that disagrees with the others. At s = 64 every
+    kind's decode is at least as wide as its system, which runs it by stripe."""
     from clustercodes import codes
     from clustercodes.errors import InconsistentSharesError
     from clustercodes.placement import load_json, placement_from_obj
-    s = 8
     _, place = build_kind(tmp_path, capsys, kind, s)
     obj = json.loads(place.read_text())
     p = placement_from_obj(obj)
     con = codes.construction(p.kind, p.topology, p.gf, p.params)
     read = next(comp for comp in con.components if comp.decodes).idx[0]
     target = (s - 1) * con.params["theta"] + read
-    sym = next(x for e in obj["nodes"] for x in e["symbols"] if x["idx"] == target)
-    sym["val_hex"] = f"{int(sym['val_hex'], 16) ^ 1:0{len(sym['val_hex'])}x}"
+    stored = [x for e in obj["nodes"] for x in e["symbols"] if x["idx"] == target]
+    for sym in stored[:1] if copies == "one" else stored:
+        sym["val_hex"] = f"{int(sym['val_hex'], 16) ^ 1:0{len(sym['val_hex'])}x}"
     place.write_text(json.dumps(obj))
     bad = placement_from_obj(load_json(place.read_text()))
     with pytest.raises(InconsistentSharesError):

@@ -201,18 +201,32 @@ def _rotation_shifted(plan, top):
     return lambda failed: plan(NodeId(failed.l, failed.j % top.n_I + 1))
 
 
+def _mates_swapped(plan, top):
+    """The two cluster mates of the failed node send each other's symbols: the
+    received symbols still determine the node, but neither helper stores
+    what it is asked to send."""
+    def broken(failed):
+        sends = dict(plan(failed))
+        a, b = [h for h, out in sends.items() if h.l == failed.l and out]
+        sends[a], sends[b] = sends[b], sends[a]
+        return sends
+    return broken
+
+
 BROKEN_PLANS = {
     "helper-dropped": ("mbr0", (6, 3, 2), {}, _helper_dropped),
     "coefficient-changed": ("msr-wrapped", (9, 5, 3), {"chi": 2}, _coefficient_changed),
     "rotation-shifted": ("msr0-div", (6, 3, 2), {}, _rotation_shifted),
+    "mates-swapped": ("msr0-div", (6, 3, 2), {}, _mates_swapped),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_PLANS)
 def test_repair_refuses_a_plan_that_does_not_determine_the_node(monkeypatch, case):
-    """A plan whose sends do not fix every lost symbol of every codeword, or
-    that reads the failed node, is a ParamError naming the node, never a
-    wrong holding."""
+    """A plan whose sends do not fix every lost symbol of every codeword,
+    that reads the failed node, or that has a helper send a symbol it does
+    not store, is a ParamError naming the node, never a wrong holding or an
+    uncaught exception."""
     kind, shape, ratio, breaker = BROKEN_PLANS[case]
     top = ClusterTopology(*shape)
     m_size = declared_params(kind, top, **ratio)["M"]

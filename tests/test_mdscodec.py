@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clustercodes import mdscodec
 from clustercodes.errors import (InconsistentSharesError, InsufficientDataError,
                                  ParamError)
 from clustercodes.galois import field_create
@@ -178,47 +179,109 @@ def test_decode_roundtrip_all_subsets(n_out, k_in):
 # ------------------------------------------- block right-hand sides
 
 def _block_system(draw, gf, shape):
-    """A (rows x cols) system and a block of rhs columns: 'full-rank' is a
-    random square system, 'singular' repeats the first row of A last and takes
-    B = A X, and 'inconsistent' is 'singular' with one column of B broken."""
+    """A system of 2..6 rows and a block of rhs columns for each width the
+    width rule tells apart: one short of the row count, the row count, one
+    more, and a long stripe. 'full-rank' is a random square system with
+    random blocks; 'singular' is square with A's first row repeated last,
+    'overdetermined' has fewer unknowns than rows and 'underdetermined'
+    more, and each of them takes B = A X; 'inconsistent' repeats A's first
+    row last, takes B = A X and breaks one column of B in that row."""
     elem = st.integers(0, gf.order - 1)
     rows = draw(st.integers(2, 6))
-    cols = rows if shape == "full-rank" else draw(st.integers(1, 6))
-    width = draw(st.integers(1, 5))
-    a = [draw(st.lists(elem, min_size=cols, max_size=cols)) for _ in range(rows)]
-    if shape == "full-rank":
-        b = Matrix(rows, width, [draw(st.lists(elem, min_size=width, max_size=width))
-                                 for _ in range(rows)])
-        return Matrix(rows, cols, a), b
-    a[-1] = list(a[0])
-    x = Matrix(cols, width, [draw(st.lists(elem, min_size=width, max_size=width))
-                             for _ in range(cols)])
-    b = mat_mul(gf, Matrix(rows, cols, a), x)
-    if shape == "inconsistent":
-        b.data[-1][draw(st.integers(0, width - 1))] ^= draw(st.integers(1, gf.order - 1))
-    return Matrix(rows, cols, a), b
+    cols = {"full-rank": rows, "singular": rows,
+            "overdetermined": draw(st.integers(1, rows - 1)),
+            "underdetermined": draw(st.integers(rows + 1, 7)),
+            "inconsistent": draw(st.integers(1, 6))}[shape]
+    a = Matrix(rows, cols, [draw(st.lists(elem, min_size=cols, max_size=cols))
+                            for _ in range(rows)])
+    if shape in ("singular", "inconsistent"):
+        a.data[-1] = list(a.data[0])
+    rng = Random(draw(st.integers(0, 2**32)))
+
+    def random_block(height, width):
+        return Matrix(height, width, [[rng.randrange(gf.order) for _ in range(width)]
+                                      for _ in range(height)])
+
+    blocks = []
+    for width in (rows - 1, rows, rows + 1, 300):
+        b = random_block(rows, width) if shape == "full-rank" else \
+            mat_mul(gf, a, random_block(cols, width))
+        if shape == "inconsistent":
+            b.data[-1][rng.randrange(width)] ^= rng.randrange(1, gf.order)
+        blocks.append(b)
+    return a, blocks
 
 
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
-@pytest.mark.parametrize("shape", ["full-rank", "singular", "inconsistent"])
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("shape", ["full-rank", "singular", "inconsistent",
+                                   "overdetermined", "underdetermined"])
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_block_solve_equals_column_solves(gf, shape, data):
-    a, b = _block_system(data.draw, gf, shape)
+    """However wide the block, its solve is the per-column solves, which
+    eliminate [A | b]: the same rank, free columns, consistency and solution,
+    whether the block is solved by the cached elimination of [A | I] (as
+    wide as A has rows, or wider) or by its own."""
+    a, blocks = _block_system(data.draw, gf, shape)
     if shape == "full-rank":
         assume(mat_rank(gf, a) == a.rows)
-    block = mat_solve(gf, a, b)
-    per_column = [mat_solve(gf, a, b.column(j)) for j in range(b.cols)]
-    assert all(res.rank == block.rank for res in per_column)
-    assert block.consistent == all(res.consistent for res in per_column)
-    assert block.consistent == (shape != "inconsistent")
-    if not block.consistent:
-        assert block.solution is None and block.free_cols == []
-        return
-    assert all(res.free_cols == block.free_cols for res in per_column)
-    assert [block.solution.column(j) for j in range(b.cols)] == \
-        [res.solution for res in per_column]
-    assert mat_mul(gf, a, block.solution).data == b.data
+    for b in blocks:
+        block = mat_solve(gf, a, b)
+        per_column = [mat_solve(gf, a, b.column(j)) for j in range(b.cols)]
+        assert all(res.rank == block.rank for res in per_column), b.cols
+        assert block.consistent == all(res.consistent for res in per_column)
+        assert block.consistent == (shape != "inconsistent")
+        if not block.consistent:
+            assert block.solution is None and block.free_cols == []
+            continue
+        assert all(res.free_cols == block.free_cols for res in per_column)
+        assert [block.solution.column(j) for j in range(b.cols)] == \
+            [res.solution for res in per_column]
+        assert mat_mul(gf, a, block.solution).data == b.data
+
+
+# ------------------------------------- wide blocks: a cached elimination
+
+def test_wide_solutions_are_fresh_lists():
+    """A caller may change what mat_solve returns: an underdetermined system
+    solved twice from the cache gives the same solution the second time,
+    its rows (free columns' zero rows included) distinct lists each time."""
+    a = Matrix(2, 4, [[1, 2, 3, 4], [5, 6, 7, 9]])
+    b = Matrix(2, 4, [[7, 8, 9, 10], [11, 12, 13, 14]])
+    first = mat_solve(GF8, a, b)
+    want = [list(row) for row in first.solution.data]
+    assert first.free_cols == [2, 3]
+    for row in first.solution.data:
+        row[:] = [255] * len(row)
+    first.free_cols.append(0)
+    again = mat_solve(GF8, a, b)
+    assert again.solution.data == want and again.free_cols == [2, 3]
+    assert len({id(row) for row in again.solution.data}) == a.cols
+    assert not {id(row) for row in again.solution.data} & \
+        {id(row) for row in first.solution.data}
+
+
+def test_second_wide_solve_of_a_matrix_eliminates_nothing(monkeypatch):
+    """The elimination of [A | I] is held per coefficient matrix: another wide
+    block on the same A reuses it, and a narrow one still eliminates."""
+    rng = Random(23)
+    a = Matrix(4, 4, [[rng.randrange(GF16.order) for _ in range(4)] for _ in range(4)])
+
+    def block(width):
+        return Matrix(4, width, [[rng.randrange(GF16.order) for _ in range(width)]
+                                 for _ in range(4)])
+
+    mat_solve(GF16, a, block(4))
+    calls = []
+    real = mdscodec._row_reduce
+    monkeypatch.setattr(mdscodec, "_row_reduce",
+                        lambda *args: calls.append(len(args[1])) or real(*args))
+    wide = block(300)
+    res = mat_solve(GF16, a, wide)
+    assert calls == []
+    assert mat_mul(GF16, a, res.solution).data == wide.data
+    mat_solve(GF16, a, block(3))
+    assert calls == [4]
 
 
 def _instances(gf, n_out, k_in, s, seed):
