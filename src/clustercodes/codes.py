@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from numbers import Rational
 from typing import Any, Callable, NamedTuple
 
 from . import mbr, msr
 from .capacity import (derive, mbr_filesize_pos, mbr_filesize_zero,
                        mbr_theta_pos, mbr_theta_zero)
-from .construction import Construction, RepairPlan
+from .construction import Construction
 from .errors import (FormatError, InconsistentSharesError, InsufficientDataError,
                      ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
-from .mdscodec import LinearMap, Matrix, mat_solve, rs_decode, rs_encode
-from .placement import Holding, Placement, RepairTranscript, as_int
+from .mdscodec import (LinearMap, Matrix, from_stripes, mat_solve, rs_decode, rs_encode,
+                       to_stripes)
+from .placement import Holding, Placement, RepairTranscript, as_int, holding_from_pairs
 from .topology import ClusterTopology, NodeId
 
 
@@ -219,39 +219,30 @@ def _maps(con: Construction, gf: GF) -> tuple[LinearMap | None, ...]:
                  for comp in con.components)
 
 
-def _interleave(columns: list[list[int]], idxs: tuple[int, ...], s: int,
-                theta: int) -> Holding:
-    """The holding of a node storing symbol idxs[r] with value columns[r][inst]
-    in each instance, instance-major in layout order."""
-    return list(zip(_indices(idxs, s, theta), chain.from_iterable(zip(*columns))))
-
-
-def _word(con: Construction, gf: GF, source: list[int]) -> list[list[int]]:
-    """Per symbol index (0 unused), its value in each of the len(source)/M
-    instances. Each component encodes all of them in one call, on the block
-    of its source symbols' per-instance values."""
-    m_size = con.params["M"]
-    stripes = [source[r::m_size] for r in range(m_size)]
-    word: list[list[int]] = [[]] * (con.params["theta"] + 1)
+def _word(con: Construction, gf: GF, stripes: list[bytes]) -> list[bytes]:
+    """Per symbol index (0 unused), its stripe: each component encodes every
+    instance in one call, on the stripes of its source symbols."""
+    word = [b""] * (con.params["theta"] + 1)
     for comp, lin in zip(con.components, _maps(con, gf)):
         block = stripes[comp.msg]
-        for i, col in zip(comp.idx, rs_encode(comp.rs, block) if comp.rs else lin(block)):
+        for i, col in zip(comp.idx, rs_encode(comp.rs, block) if comp.rs else lin.stripes(block)):
             word[i] = col
     return word
 
 
 @lru_cache(maxsize=32)
-def _columns(con: Construction, gf: GF) -> list[list[int]]:
-    """The generator G's column of each symbol index: the encode of the M
-    unit sources, one instance each."""
+def _columns(con: Construction, gf: GF) -> list[bytes]:
+    """The generator G's column of each symbol index, as a stripe: the encode
+    of the M unit sources, one instance each."""
     m_size = con.params["M"]
-    return _word(con, gf, [int(r == c) for r in range(m_size) for c in range(m_size)])
+    unit = [int(r == c) for r in range(m_size) for c in range(m_size)]
+    return _word(con, gf, to_stripes(unit, m_size, gf.width))
 
 
-def _encode(con: Construction, gf: GF, source: list[int]) -> dict[NodeId, Holding]:
-    word, s = _word(con, gf, source), len(source) // con.params["M"]
-    return {node: _interleave([word[i] for i in idxs], idxs, s, con.params["theta"])
-            for node, idxs in con.layout.items()}
+def _matrix(stripes: list[bytes], m_size: int, gf: GF) -> Matrix:
+    """Stripes of M instances as the M x len(stripes) matrix of their values."""
+    values, n = from_stripes(stripes, gf.width), len(stripes)
+    return Matrix(m_size, n, [list(values[i * n:(i + 1) * n]) for i in range(m_size)])
 
 
 def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
@@ -265,15 +256,18 @@ def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
         raise ParamError(f"source holds a value outside GF(2^{gf.m})")
     params |= TABLE[kind].search(top, gf)
     con = construction(kind, top, gf, params)
-    params |= {"epsilon": str(params["epsilon"]), "s": len(source) // params["M"]}
-    return Placement(kind, top, gf, params, _encode(con, gf, source))
+    s = len(source) // params["M"]
+    params |= {"epsilon": str(params["epsilon"]), "s": s}
+    word = _word(con, gf, to_stripes(source, params["M"], gf.width))
+    holdings = {node: Holding(idxs, tuple(word[i] for i in idxs), s, params["theta"], gf.width)
+                for node, idxs in con.layout.items()}
+    return Placement(kind, top, gf, params, holdings)
 
 
 def generator(p: Placement) -> Matrix:
     """The M x theta encoding matrix: row r is what unit source r encodes to."""
     con = construction(p.kind, p.topology, p.gf, p.params)
-    return Matrix(con.params["M"], con.params["theta"],
-                  [list(row) for row in zip(*_columns(con, p.gf)[1:])])
+    return _matrix(_columns(con, p.gf)[1:], con.params["M"], p.gf)
 
 
 def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
@@ -288,27 +282,21 @@ def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
     return con, s
 
 
-@lru_cache(maxsize=1024)
-def _indices(idxs: tuple[int, ...], s: int, theta: int) -> tuple[int, ...]:
-    """The global symbol indices of a node holding idxs in each of s instances."""
-    return tuple(base + i for base in range(0, s * theta, theta) for i in idxs)
-
-
 def _content(p: Placement, con: Construction, nodes: list[NodeId],
-             s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per node, its layout and its stored values, instance-major in layout
-    order, once its holding is checked to be exactly those symbols, in the field."""
-    theta = con.params["theta"]
+             s: int) -> list[tuple[bytes, ...]]:
+    """Per node, its stripes in layout order. A Holding of the node's layout,
+    s and theta is checked by its stripe lengths alone; anything else goes
+    through holding_from_pairs, which checks that it holds exactly those
+    symbols, with values in the field."""
+    theta, w = con.params["theta"], p.gf.width
     out = []
     for node in nodes:
         idxs, holding = con.layout[node], p.holdings.get(node)
-        ids, vals = zip(*holding) if holding else ((), ())
-        if ids != _indices(idxs, s, theta):
-            raise FormatError(f"{node} does not hold exactly its {len(idxs)} symbols "
-                              f"for each of s={s} instances")
-        if min(vals) < 0 or max(vals) >= p.gf.order:
-            raise FormatError(f"{node} holds a value outside GF(2^{p.gf.m})")
-        out.append((idxs, vals))
+        if not (isinstance(holding, Holding) and holding.idxs == idxs
+                and holding.theta == theta and holding.fits(s, w)):
+            ids, vals = zip(*holding) if holding else ((), ())
+            holding = holding_from_pairs(node, ids, vals, idxs, s, theta, p.gf)
+        out.append(holding.stripes)
     return out
 
 
@@ -365,10 +353,17 @@ def check_params(p: Placement) -> None:
 
 
 class _Repair(NamedTuple):
-    """A repair plan with its arithmetic compiled into linear maps."""
-    plan: RepairPlan
-    mixers: tuple[NodeId, ...]  # the helpers that send combinations, in plan order
-    mix: LinearMap  # their stored symbols, alpha per mixer -> each combination send
+    """A repair plan compiled into linear maps and wire layouts. The pool of
+    a repair is the stored stripes of every sender, alpha per sender in plan
+    order, then the combination sends in plan order."""
+    senders: tuple[NodeId, ...]  # the helpers that send anything, in plan order
+    mix_in: tuple[int, ...]  # the pool entries of the mixers' stored stripes, in plan order
+    mix: LinearMap  # those stripes -> each combination send
+    # per helper: its wire, one column per send and copy, as each column's
+    # symbol (None: a combination) and its pool entry
+    wire: dict[NodeId, tuple[tuple[int | None, ...], tuple[int, ...]]]
+    received: tuple[tuple[NodeId, int, tuple[int, ...]], ...]  # per sender: its column
+    # count and the columns that make the received vector
     solve: LinearMap  # the received vector -> the failed node's symbols
 
 
@@ -378,9 +373,10 @@ def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
     gives R (M x received entries), and solve R X = L for L, G's columns of
     the failed node's symbols. Then X maps every received vector to the lost
     symbols, for every payload. A plan whose sends do not determine them, in
-    which the failed node sends, or in which a helper sends a symbol it does
-    not store, is a ParamError naming the node."""
-    plan, alpha, m_size = con.repair_plan(failed), con.params["alpha"], con.params["M"]
+    which the failed node sends, in which a helper sends a symbol it does not
+    store, or in which a combination does not weigh exactly the helper's
+    alpha symbols, is a ParamError naming the node."""
+    plan, alpha = con.repair_plan(failed), con.params["alpha"]
     if plan.get(failed):
         raise ParamError(f"the repair plan of {failed} reads {failed} itself")
     for h, sends in plan.items():
@@ -388,48 +384,57 @@ def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
         if stray:
             raise ParamError(f"the repair plan of {failed} has {h} send symbol {stray[0]}, "
                              f"which {h} does not store")
-    combos = [(h, send[0]) for h, sends in plan.items() for send in sends
-              if not isinstance(send, int)]
+        for send in sends:
+            if not isinstance(send, int) and len(send[0]) != alpha:
+                raise ParamError(f"the repair plan of {failed} has {h} send a combination "
+                                 f"of {len(send[0])} symbols, but {h} stores {alpha}")
+    senders = tuple(h for h, sends in plan.items() if sends)
+    combos = [(h, send[0]) for h in senders for send in plan[h] if not isinstance(send, int)]
     mixers = tuple(dict.fromkeys(h for h, _ in combos))
     rows = [[0] * len(combos) for _ in range(len(mixers) * alpha)]
     for col, (h, coeffs) in enumerate(combos):
         for a, c in enumerate(coeffs):
             rows[mixers.index(h) * alpha + a][col] = c
     mix = LinearMap(gf, Matrix(len(rows), len(combos), rows))
+    mix_in = tuple(senders.index(h) * alpha + a for h in mixers for a in range(alpha))
+    wire, received, combo = {}, [], len(senders) * alpha
+    for h, sends in plan.items():
+        idxs, entries, firsts = [], [], []
+        for send in sends:
+            firsts.append(len(idxs))
+            if isinstance(send, int):
+                idxs.append(send)
+                entries.append(senders.index(h) * alpha + con.layout[h].index(send))
+            else:
+                idxs += [None] * send[1]
+                entries += [combo] * send[1]
+                combo += 1
+        wire[h] = (tuple(idxs), tuple(entries))
+        if sends:
+            received.append((h, len(idxs), tuple(firsts)))
+    # the same sends on G's columns: the pool of the repair of the unit sources
     cols = _columns(con, gf)
-    mixed = iter(mix([cols[i] for h in mixers for i in con.layout[h]]) if mixers else ())
-    received = [cols[send] if isinstance(send, int) else next(mixed)
-                for sends in plan.values() for send in sends]
+    pool = [cols[i] for h in senders for i in con.layout[h]]
+    pool += mix.stripes([pool[e] for e in mix_in]) if mixers else []
+    vector = [pool[wire[h][1][f]] for h, _, firsts in received for f in firsts]
     lost = [cols[i] for i in con.layout[failed]]
-    res = mat_solve(gf, *(Matrix(m_size, len(c), [[x[r] for x in c] for r in range(m_size)])
-                          for c in (received, lost)))
+    m_size = con.params["M"]
+    res = mat_solve(gf, _matrix(vector, m_size, gf), _matrix(lost, m_size, gf))
     if res.solution is None:
         raise ParamError(f"the repair plan of {failed} does not determine its symbols")
-    return _Repair(plan, mixers, mix, LinearMap(gf, res.solution))
+    return _Repair(senders, mix_in, mix, wire, tuple(received), LinearMap(gf, res.solution))
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
     """Run the repair plan for `failed` on every instance: the transcript of
     what each of the n-1 helpers sent, and the regenerated holding."""
     con, s = _engine(p, [failed])
-    plan, mixers, mix, _ = _plan(con, p.gf, failed)
-    theta, alpha = con.params["theta"], con.params["alpha"]
-    senders = [h for h, sends in plan.items() if sends]
-    content = dict(zip(senders, _content(p, con, senders, s)))
-    mixed = iter(mix([content[h][1][a::alpha] for h in mixers for a in range(alpha)])
-                 if mixers else ())
-    contributions: dict[NodeId, list[tuple[int | None, int]]] = {h: [] for h in plan}
-    for helper in senders:
-        idxs, vals = content[helper]
-        columns = []  # per send and copy: the (index, value) it sends in each instance
-        for send in plan[helper]:
-            if isinstance(send, int):
-                r = idxs.index(send)
-                columns.append(list(zip(range(send, send + s * theta, theta),
-                                        vals[r::alpha])))
-            else:
-                columns += [[(None, v) for v in next(mixed)]] * send[1]
-        contributions[helper] = [x for row in zip(*columns) for x in row]
+    rp = _plan(con, p.gf, failed)
+    theta, w = con.params["theta"], p.gf.width
+    pool = [x for stripes in _content(p, con, rp.senders, s) for x in stripes]
+    pool += rp.mix.stripes([pool[e] for e in rp.mix_in]) if rp.mix_in else []
+    contributions = {h: Holding(idxs, tuple([pool[e] for e in entries]), s, theta, w)
+                     for h, (idxs, entries) in rp.wire.items()}
     transcript = RepairTranscript(failed, contributions, s * con.params["beta_i"],
                                   s * con.params["beta_c"],
                                   sum(len(v) for v in contributions.values()))
@@ -439,23 +444,20 @@ def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
 def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
     """Rebuild the failed node's holding from transcript contents alone."""
     con, s = _engine(p, [transcript.failed])
-    plan, _, _, solve = _plan(con, p.gf, transcript.failed)
-    received = []  # per entry of the received vector: its value in each instance
-    for helper, sends in plan.items():
-        if not sends:
-            continue
-        # where in one instance's share of the helper's symbols each send starts
-        firsts, width = [], 0
-        for send in sends:
-            firsts.append(width)
-            width += 1 if isinstance(send, int) else send[1]
+    rp, w = _plan(con, p.gf, transcript.failed), p.gf.width
+    received = []  # per entry of the received vector: its stripe
+    for helper, width, firsts in rp.received:
         syms = transcript.contributions.get(helper, [])
         if len(syms) != s * width:
             raise FormatError(f"{helper} sent {len(syms)} symbols, the repair plan "
                               f"has {s * width}")
-        _, vals = zip(*syms)
-        received += [vals[f::width] for f in firsts]
-    return _interleave(solve(received), con.layout[transcript.failed], s, con.params["theta"])
+        if isinstance(syms, Holding) and len(syms.idxs) == width and syms.fits(s, w):
+            stripes = syms.stripes
+        else:
+            stripes = to_stripes([val for _, val in syms], width, w)
+        received += [stripes[f] for f in firsts]
+    return Holding(con.layout[transcript.failed], tuple(rp.solve.stripes(received)), s,
+                   con.params["theta"], w)
 
 
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
@@ -467,31 +469,28 @@ def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
     if len(unique) < p.topology.k:
         raise InsufficientDataError(
             f"{len(unique)} distinct nodes contacted, need k={p.topology.k}")
-    alpha, m_size = con.params["alpha"], con.params["M"]
-    held: dict[int, list[list[int]]] = {}  # symbol -> per copy, its value in each instance
-    for idxs, vals in _content(p, con, unique, s):
-        for r, i in enumerate(idxs):
-            held.setdefault(i, []).append(list(vals[r::alpha]))
-    out = [0] * (s * m_size)
+    held: dict[int, list[bytes]] = {}  # symbol -> per copy, its stripe
+    for node, stripes in zip(unique, _content(p, con, unique, s)):
+        for i, stripe in zip(con.layout[node], stripes):
+            held.setdefault(i, []).append(stripe)
+    msg: list[bytes] = [b""] * con.params["M"]  # per source symbol, its stripe
     for comp in con.components:
         if not comp.decodes:
             continue
         # every copy goes in: redundant ones are checked by the decode
-        shares = [(c, v) for c, i in enumerate(comp.idx) for v in held.get(i, ())]
+        shares = [(c, x) for c, i in enumerate(comp.idx) for x in held.get(i, ())]
         if comp.rs:
-            msg = rs_decode(comp.rs, [(c + 1, v) for c, v in shares])
-        else:
-            system = Matrix(len(shares), comp.generator.rows,
-                            [comp.generator.column(c) for c, _ in shares])
-            res = mat_solve(p.gf, system, Matrix(len(shares), s, [v for _, v in shares]))
-            if res.solution is None:
-                raise InconsistentSharesError("contacted symbols are inconsistent")
-            if res.underdetermined:
-                raise InsufficientDataError("contacted symbols do not pin the source")
-            msg = res.solution.data
-        for i, row in enumerate(msg, start=comp.msg.start):
-            out[i::m_size] = row
-    return out
+            msg[comp.msg] = rs_decode(comp.rs, [(c + 1, x) for c, x in shares])
+            continue
+        system = Matrix(len(shares), comp.generator.rows,
+                        [comp.generator.column(c) for c, _ in shares])
+        res = mat_solve(p.gf, system, [x for _, x in shares])
+        if res.solution is None:
+            raise InconsistentSharesError("contacted symbols are inconsistent")
+        if res.underdetermined:
+            raise InsufficientDataError("contacted symbols do not pin the source")
+        msg[comp.msg] = res.solution
+    return list(from_stripes(msg, p.gf.width))
 
 
 def parse_config(obj: dict) -> dict[str, Any]:

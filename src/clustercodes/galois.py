@@ -69,28 +69,38 @@ class GF:
         self.m = m
         self.poly = poly
         self.order = 1 << m
+        self.width = -(-m // 8)  # bytes per symbol in the byte kernels
         self.exp, self.log = self._build_tables()
 
     def _build_tables(self) -> tuple[list[int], list[int]]:
         # Walk powers of a generator; the reduction polynomial need not be
         # primitive, so search for a generator of the full cyclic group.
-        size = self.order - 1
-        for g in range(2, self.order):
-            exp = [0] * (2 * size)
-            log = [0] * self.order
+        size, order, poly = self.order - 1, self.order, self.poly
+        for g in range(2, order):
+            # y -> y*g is linear over GF(2): tabulate it on each byte of y,
+            # from g times each power of x (a shift and a conditional XOR)
+            basis = [g]
+            for _ in range(1, self.m):
+                y = basis[-1] << 1
+                basis.append(y ^ poly if y & order else y)
+            low, high = [0], [0] * 256
+            for b in basis[:8]:
+                low += [y ^ b for y in low]
+            if self.m > 8:
+                high = [0]
+                for b in basis[8:]:
+                    high += [y ^ b for y in high]
+            exp = [0] * size
+            log = [0] * order
             x = 1
-            ok = True
             for i in range(size):
                 if x == 1 and i > 0:
-                    ok = False  # g has smaller multiplicative order
-                    break
+                    break  # g has smaller multiplicative order
                 exp[i] = x
                 log[x] = i
-                x = clmul_reduce(x, g, self.poly, self.m)
-            if ok and x == 1:
-                # duplicate so mul can skip the mod in the hot path
-                for i in range(size, 2 * size):
-                    exp[i] = exp[i - size]
+                x = low[x & 255] ^ high[x >> 8]
+            else:
+                exp *= 2  # twice over, so mul can skip the mod in the hot path
                 return exp, log
         raise ParamError(f"no generator found for GF(2^{self.m})/{self.poly:#x}")
 

@@ -9,7 +9,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InconsistentSharesError, InsufficientDataError, ParamError
 from .galois import GF
@@ -88,13 +88,48 @@ def _to_bytes(vals, w: int) -> bytes:
     return arr.tobytes()
 
 
+def to_stripes(values, n: int, w: int) -> list[bytes]:
+    """Instance-major values, n per instance, as n stripes. A stripe holds one
+    symbol's value in every instance as its w byte planes in turn: plane p
+    (bits 8p..8p+7 of each value) after plane p - 1, so over GF(2^8) it is
+    the values themselves."""
+    raw, step = _to_bytes(values, w), n * w
+    if len(raw) == step:  # one instance: each value's little-endian bytes
+        return [raw[r * w:(r + 1) * w] for r in range(n)]
+    if w == 1:
+        return [raw[r::n] for r in range(n)]
+    return [b"".join([raw[r * w + p::step] for p in range(w)]) for r in range(n)]
+
+
+def from_stripes(stripes, w: int) -> bytes | list[int]:
+    """The inverse of to_stripes: the values of equally long stripes,
+    instance-major; over single-byte fields as bytes."""
+    n = len(stripes)
+    if n == w == 1:
+        return stripes[0]
+    s = len(stripes[0]) // w if stripes else 0
+    if s == 1:  # each stripe is its one value's little-endian bytes
+        buf = b"".join(stripes)
+    else:
+        buf = bytearray(n * s * w)
+        for r, stripe in enumerate(stripes):
+            for p in range(w):
+                buf[r * w + p::n * w] = stripe[p * s:(p + 1) * s]
+    if w == 1:
+        return bytes(buf)
+    arr = array(_TYPECODE[w], buf)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tolist()
+
+
 @lru_cache(maxsize=1024)
 def byte_tables(gf: GF, c: int) -> tuple[bytes, ...]:
     """Multiplication by c as bytes.translate tables, built through gf.mul: a
     symbol of w = ceil(m/8) bytes is w byte planes (plane p is bits 8p..8p+7),
     and table p*w + q maps plane p of x to plane q of c*x. The cache holds
     every table of GF(2^8) in about 74 KB, and a working set of GF(2^16)."""
-    w = -(-gf.m // 8)
+    w = gf.width
     tables = []
     for p in range(w):
         # c * x is linear in x: span the products of the plane's eight bits
@@ -115,56 +150,51 @@ def value_tables(gf: GF) -> tuple[bytes, ...]:
     return tuple(byte_tables(gf, v)[0] for v in range(gf.order))
 
 
-def _from_planes(planes: list[int], n: int, w: int) -> list[int]:
-    """n symbols from their w byte planes, each given as a little-endian int."""
-    if w == 1:
-        return list(planes[0].to_bytes(n, "little"))
-    buf = bytearray(n * w)
-    for q, plane in enumerate(planes):
-        buf[q::w] = plane.to_bytes(n, "little")
-    arr = array(_TYPECODE[w], buf)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tolist()
-
-
 class LinearMap:
     """x -> x G for a fixed matrix G over GF(2^m), m <= 16, applied to a block
-    of instances: block[t] holds source symbol t's value in each of s
-    instances, and the result holds, per column j of G, coordinate j's value
-    in each instance.
+    of instances given as stripes (to_stripes): block[t] holds source symbol
+    t's value in each of s instances, and the result holds, per column j of
+    G, coordinate j's stripe.
 
     The work runs along the longer axis. When s is at least G's column count,
-    each source symbol is a stripe of s symbols split into byte planes, and a
-    column is the XOR, as big ints, of its nonzero terms' stripes mapped
-    through their coefficients' byte tables by bytes.translate; the terms and
-    tables are compiled once per map. For fewer instances each instance's
-    codeword is the sum over t of x_t times row t of G: over GF(2^8) row t as
-    bytes mapped through x_t's table (value_tables), over wider fields the
-    row's logarithms, looked up once per map, so no table grows with a field
-    order above 2^8.
+    a column that copies one source symbol is that symbol's stripe, and any
+    other column is the XOR, as big ints, of its nonzero terms' byte planes
+    mapped through their coefficients' byte tables by bytes.translate; the
+    terms and tables are compiled once per map. For fewer instances each
+    instance's codeword is the sum over t of x_t times row t of G: over
+    GF(2^8) row t as bytes mapped through x_t's table (value_tables), over
+    wider fields the row's logarithms, looked up once per map, so no table
+    grows with a field order above 2^8.
     """
 
     def __init__(self, gf: GF, g: Matrix):
         self.gf, self.matrix = gf, g
-        self.width = -(-gf.m // 8)
+        self.width = gf.width
 
     @cached_property
-    def _stripe_terms(self) -> list[list[tuple[int, bytes | None, int]]]:
-        """Per column: (input plane t*w + p, table or None for a copy, output
-        plane q) for every nonzero plane product of a nonzero coefficient."""
+    def _stripe_terms(self) -> tuple[list[int | list[tuple[int, bytes | None, int]]],
+                                     set[int]]:
+        """Per column: the source row it copies, when its one nonzero
+        coefficient is 1; else (input plane t*w + p, table or None for a copy,
+        output plane q) for every nonzero plane product of a nonzero
+        coefficient. Also the input planes that some column XORs in as
+        they are."""
         w, data = self.width, self.matrix.data
-        terms = []
+        terms, copied = [], set()
         for j in range(self.matrix.cols):
+            nonzero = [t for t, row in enumerate(data) if row[j]]
+            if len(nonzero) == 1 and data[nonzero[0]][j] == 1:
+                terms.append(nonzero[0])
+                continue
             col = []
-            for t, row in enumerate(data):
-                if row[j]:
-                    tables = byte_tables(self.gf, row[j])
-                    col += [(t * w + p, None if tab == _IDENTITY else tab, q)
-                            for p in range(w) for q in range(w)
-                            if (tab := tables[p * w + q]) != _ZERO]
+            for t in nonzero:
+                tables = byte_tables(self.gf, data[t][j])
+                col += [(t * w + p, None if tab == _IDENTITY else tab, q)
+                        for p in range(w) for q in range(w)
+                        if (tab := tables[p * w + q]) != _ZERO]
+            copied.update(src for src, tab, _ in col if tab is None)
             terms.append(col)
-        return terms
+        return terms, copied
 
     @cached_property
     def _row_terms(self) -> list:
@@ -176,38 +206,64 @@ class LinearMap:
         return [[(j, log[c]) for j, c in enumerate(row) if c] for row in self.matrix.data]
 
     def __call__(self, block: list[list[int]]) -> list[list[int]]:
-        g = self.matrix
+        """The map on a block of per-symbol value lists, one per source
+        symbol: the same map as stripes, with lists in and out."""
+        w = self.width
+        out = self.stripes([to_stripes(x, 1, w)[0] for x in block])
+        return [list(from_stripes([col], w)) for col in out]
+
+    def stripes(self, block: list[bytes]) -> list[bytes]:
+        """The map on a block of stripes, one per source symbol."""
+        g, w = self.matrix, self.width
         if len(block) != g.rows:
             raise ParamError(f"block of {len(block)} source symbols does not match "
                              f"{g.rows} rows")
         if len(set(map(len, block))) > 1:
             raise ParamError("source symbols of a block differ in instance count")
-        s = len(block[0]) if block else 0
+        s = len(block[0]) // w if block else 0
         if 0 < s < g.cols:
-            return list(map(list, zip(*map(self._one, zip(*block)))))
+            return self._by_instance(block, s)
         return self._by_stripe(block, s)
 
-    def _by_stripe(self, block: list[list[int]], s: int) -> list[list[int]]:
+    def _by_stripe(self, block: list[bytes], s: int) -> list[bytes]:
         w, frm = self.width, int.from_bytes
-        planes = [raw[p::w] for raw in (_to_bytes(x, w) for x in block) for p in range(w)]
-        ints = [frm(plane, "little") for plane in planes]
+        planes = block if w == 1 else [x[p * s:(p + 1) * s] for x in block for p in range(w)]
+        terms, copied = self._stripe_terms
+        ints = {src: frm(planes[src], "little") for src in copied}
         out = []
-        for terms in self._stripe_terms:
-            acc = [0] * w
-            for src, tab, q in terms:
-                acc[q] ^= ints[src] if tab is None else frm(planes[src].translate(tab), "little")
-            out.append(_from_planes(acc, s, w))
+        for col in terms:
+            if type(col) is int:
+                out.append(block[col])
+            elif w == 1:
+                acc = 0
+                for src, tab, _ in col:
+                    acc ^= ints[src] if tab is None else frm(planes[src].translate(tab), "little")
+                out.append(acc.to_bytes(s, "little"))
+            else:
+                accs = [0] * w
+                for src, tab, q in col:
+                    accs[q] ^= ints[src] if tab is None else frm(planes[src].translate(tab),
+                                                                 "little")
+                out.append(b"".join([acc.to_bytes(s, "little") for acc in accs]))
         return out
 
-    def _one(self, x: tuple[int, ...]) -> list[int]:
-        """One instance's codeword."""
+    def _by_instance(self, block: list[bytes], s: int) -> list[bytes]:
+        """Instance by instance: each instance's codeword, as stripes again."""
+        rows = len(block)
+        vals = from_stripes(block, self.width)  # instance-major, rows per instance
+        words = [self._one(vals[i:i + rows]) for i in range(0, s * rows, rows)]
+        return to_stripes(b"".join(words) if self.width == 1 else list(chain.from_iterable(words)),
+                          self.matrix.cols, self.width)
+
+    def _one(self, x: bytes | list[int]) -> bytes | list[int]:
+        """One instance's codeword, over GF(2^8) as bytes."""
         cols, gf = self.matrix.cols, self.gf
         if self.width == 1:
             acc, frm, tables = 0, int.from_bytes, value_tables(gf)
             for row, v in zip(self._row_terms, x):
                 if v:
                     acc ^= frm(row.translate(tables[v]), "little")
-            return list(acc.to_bytes(cols, "little"))
+            return acc.to_bytes(cols, "little")
         exp, log, out = gf.exp, gf.log, [0] * cols
         for terms, v in zip(self._row_terms, x):
             if v:
@@ -262,7 +318,7 @@ class SolveResult:
     For a block b the solution is a block too, and the system is consistent
     only when every column of b is.
     """
-    solution: list[int] | Matrix | None
+    solution: list[int] | Matrix | list[bytes] | None
     rank: int
     free_cols: list[int] = field(default_factory=list)
 
@@ -294,33 +350,51 @@ def _eliminated(gf: GF, rows: tuple[tuple[int, ...], ...],
                                              for r in range(n))
 
 
-def mat_solve(gf: GF, a: Matrix, b: list[int] | Matrix) -> SolveResult:
-    """Solve A x = b for a vector b, or for a Matrix block b with one
-    right-hand side per column in a single elimination (a vector is the
-    one-column block).
+def mat_solve(gf: GF, a: Matrix, b: list[int] | Matrix | list[bytes]) -> SolveResult:
+    """Solve A x = b in a single elimination for a vector b, for a Matrix
+    block b with one right-hand side per column, or for a block of stripes
+    (to_stripes) with one right-hand side per instance; a vector is the
+    one-column block, and the solution takes b's form.
 
-    The rule is LinearMap's: a block with at least as many columns as A has
-    rows is solved as T b, by the stripe kernel, for the cached elimination
-    T of [A | I] (_eliminated, and T's compiled map in _stripe_map); a
-    narrower one by eliminating [A | b]."""
-    block = isinstance(b, Matrix)
-    rhs, width = (b.data, b.cols) if block else ([[x] for x in b], 1)
+    The rule is LinearMap's: a block with at least as many right-hand sides
+    as A has rows is solved as T b, by the stripe kernel, for the cached
+    elimination T of [A | I] (_eliminated, and T's compiled map in
+    _stripe_map); a narrower one by eliminating [A | b]."""
+    w = gf.width
+    if isinstance(b, Matrix):
+        rows, width = b.data, b.cols
+    elif b and isinstance(b[0], bytes):
+        return _solve_stripes(gf, a, b, len(b[0]) // w)
+    else:
+        rows, width = [[x] for x in b], 1
+    res = _solve_stripes(gf, a, [to_stripes(row, 1, w)[0] for row in rows], width)
+    if res.solution is not None:
+        cols = [list(from_stripes([x], w)) for x in res.solution]
+        res.solution = (Matrix(a.cols, width, cols) if isinstance(b, Matrix)
+                        else [col[0] for col in cols])
+    return res
+
+
+def _solve_stripes(gf: GF, a: Matrix, rhs: list[bytes], s: int) -> SolveResult:
     if len(rhs) != a.rows:
         raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
-    if block and width >= a.rows:
+    w = gf.width
+    if s >= a.rows:
         rank, pivots, t = _eliminated(gf, tuple(map(tuple, a.data)), a.cols)
-        reduced = _stripe_map(gf, t)(rhs)
+        reduced = _stripe_map(gf, t).stripes(rhs)
     else:
-        aug, pivots = _row_reduce(gf, [row + r for row, r in zip(a.data, rhs)], a.cols)
-        rank, reduced = len(pivots), [row[a.cols:] for row in aug]
-    if any(any(row) for row in reduced[rank:]):
+        n, vals = len(rhs), from_stripes(rhs, w)
+        aug, pivots = _row_reduce(gf, [row + list(vals[r::n]) for r, row in enumerate(a.data)],
+                                  a.cols)
+        rank = len(pivots)
+        reduced = to_stripes(list(chain.from_iterable(zip(*(row[a.cols:] for row in aug)))),
+                             n, w)
+    if any(row.strip(b"\0") for row in reduced[rank:]):
         return SolveResult(None, rank, [])  # some row reads 0 = nonzero
-    x = [[0] * width for _ in range(a.cols)]
+    x = [bytes(s * w)] * a.cols
     for row, c in zip(reduced, pivots):
         x[c] = row
-    free = [c for c in range(a.cols) if c not in pivots]
-    return SolveResult(Matrix(a.cols, width, x) if block else [row[0] for row in x],
-                       rank, free)
+    return SolveResult(x, rank, [c for c in range(a.cols) if c not in pivots])
 
 
 def mat_inv(gf: GF, m: Matrix) -> Matrix:
@@ -387,39 +461,42 @@ def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
     return RsCode(n_out, k_in, gf, tuple(points), gen, systematic)
 
 
-def rs_encode(code: RsCode,
-              message: list[int] | list[list[int]]) -> list[int] | list[list[int]]:
+def rs_encode(code: RsCode, message: list[int] | list[list[int]] | list[bytes]
+              ) -> list[int] | list[list[int]] | list[bytes]:
     """The codeword of a message of k_in symbols. A message symbol may be a
-    list of one symbol per instance: the block of instances is encoded at
-    once, and the codeword is then a list of per-instance lists, one per
-    coordinate."""
+    list of one symbol per instance, or a stripe (to_stripes): the block of
+    instances is encoded at once, and the codeword is then one list or
+    stripe per coordinate."""
     if len(message) != code.k_in:
         raise ParamError(f"message length {len(message)} != k_in={code.k_in}")
     if isinstance(message[0], int):
         return [col[0] for col in code.map([[x] for x in message])]
+    if isinstance(message[0], bytes):
+        return code.map.stripes(message)
     return code.map(message)
 
 
-def rs_decode(code: RsCode,
-              shares: list[tuple[int, int | list[int]]]) -> list[int] | list[list[int]]:
+def rs_decode(code: RsCode, shares: list[tuple[int, int | list[int] | bytes]]
+              ) -> list[int] | list[list[int]] | list[bytes]:
     """Recover the message from shares [(coordinate, value)], coordinate 1-based.
 
-    A value is one symbol, or a list of one symbol per instance: a block of
-    instances decoded by one elimination, whose message is then a list of
-    per-instance lists, one per message symbol. Needs k_in distinct
-    coordinates. Duplicate shares are checked against each other, and the
-    surplus ones against the codeword of the decoded message, in every
-    instance, by one map: the code's own instance by instance when the block
-    is narrower than the codeword, otherwise that of the surplus columns
-    alone, compiled once per column set. A disagreement raises
+    A value is one symbol, a list of one symbol per instance or a stripe
+    (to_stripes): a block of instances decoded by one elimination, whose
+    message then has one list or stripe per message symbol. Needs k_in
+    distinct coordinates. Duplicate shares are checked against each other,
+    and the surplus ones against the codeword of the decoded message, in
+    every instance, by one map: the code's own instance by instance when the
+    block is narrower than the codeword, otherwise that of the surplus
+    columns alone, compiled once per column set. A disagreement raises
     InconsistentSharesError.
     """
-    block = bool(shares) and not isinstance(shares[0][1], int)
-    seen: dict[int, list[int]] = {}
+    w = code.gf.width
+    seen: dict[int, bytes] = {}
     for coord, val in shares:
         if not 1 <= coord <= code.n_out:
             raise ParamError(f"coordinate {coord} outside [1, {code.n_out}]")
-        val = list(val) if block else [val]
+        if not isinstance(val, bytes):
+            val = to_stripes([val] if isinstance(val, int) else val, 1, w)[0]
         if coord in seen and seen[coord] != val:
             raise InconsistentSharesError(f"conflicting values for coordinate {coord}")
         seen[coord] = val
@@ -427,25 +504,28 @@ def rs_decode(code: RsCode,
         raise InsufficientDataError(
             f"{len(seen)} distinct coordinates given, need {code.k_in}"
         )
-    width = len(shares[0][1]) if block else 1
     coords = sorted(seen)
     base, surplus = coords[:code.k_in], coords[code.k_in:]
     sub = code.generator.take_columns([c - 1 for c in base])
-    res = mat_solve(code.gf, sub.transpose(), Matrix(code.k_in, width, [seen[c] for c in base]))
-    message = res.solution.data  # unique: Vandermonde submatrix is invertible
+    message = mat_solve(code.gf, sub.transpose(), [seen[c] for c in base]).solution
+    # unique: a Vandermonde submatrix is invertible
     if surplus:
-        if width < code.n_out:  # instance by instance: the code's own map
-            word = code.map(message)
+        if len(message[0]) // w < code.n_out:  # instance by instance: the code's own map
+            word = code.map.stripes(message)
             predicted = [word[c - 1] for c in surplus]
         else:  # by stripe: a map of the surplus columns alone
             cols = code.generator.take_columns([c - 1 for c in surplus])
-            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data)))(message)
-        for c, row in zip(surplus, predicted):
-            if row != seen[c]:
+            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data))).stripes(message)
+        for c, stripe in zip(surplus, predicted):
+            if stripe != seen[c]:
                 raise InconsistentSharesError(
                     f"share at coordinate {c} disagrees with decoded message"
                 )
-    return message if block else [row[0] for row in message]
+    given = shares[0][1]
+    if isinstance(given, bytes):
+        return message
+    values = [list(from_stripes([x], w)) for x in message]
+    return [v[0] for v in values] if isinstance(given, int) else values
 
 
 class ProductMatrixMsr:

@@ -3,22 +3,107 @@
 Placement JSON: {"kind", "params", "nodes": [{"l", "j", "symbols":
 [{"idx", "val_hex"}]}]}; keys are emitted sorted so serialization is stable.
 Symbol indices are 1-based and global; values are hex at the field's width.
+
+In memory a node's holding is a Holding: one stripe per layout symbol (see
+mdscodec.to_stripes), seen by callers as its (index, value) pairs.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import FormatError
 from .galois import GF, field_create
+from .mdscodec import from_stripes, to_stripes
 from .topology import ClusterTopology, NodeId, node_flat
 
-Holding = list[tuple[int, int]]  # ordered (global symbol index, field element)
-Symbols = list[tuple[int | None, int]]  # a Holding, or what a helper sent (None: computed)
+
+class Holding(Sequence):
+    """Symbols of s instances, stored as stripes: column c is symbol idxs[c]
+    (None for a value a helper computed rather than read from storage), and
+    its stripe holds that symbol's value in every instance, as symbols of
+    `width` bytes (mdscodec.to_stripes). Instance inst stores symbol i under
+    the global index inst * theta + i.
+
+    As a sequence it is the (global index, value) pairs, instance-major in
+    column order: it iterates, indexes, slices (to a plain list), measures and
+    compares (with another Holding or a list of pairs) as that list would,
+    and its repr is that list's. The pairs are made only when asked for."""
+
+    __slots__ = ("idxs", "stripes", "s", "theta", "width")
+    __hash__ = None
+
+    def __init__(self, idxs: tuple[int | None, ...], stripes: tuple[bytes, ...], s: int,
+                 theta: int, width: int):
+        self.idxs, self.stripes, self.s, self.theta, self.width = idxs, stripes, s, theta, width
+
+    def fits(self, s: int, width: int) -> bool:
+        """Whether every stripe holds s symbols of `width` bytes."""
+        return self.s == s and self.width == width and set(map(len, self.stripes)) <= {s * width}
+
+    def indices(self) -> list[int | None]:
+        """The pairs' global indices, in order."""
+        theta, idxs = self.theta, self.idxs
+        return [None if i is None else base + i
+                for base in range(0, self.s * theta, theta) for i in idxs]
+
+    def values(self) -> bytes | list[int]:
+        """The pairs' values, in order; over single-byte fields as bytes."""
+        return from_stripes(self.stripes, self.width)
+
+    def __len__(self) -> int:
+        return self.s * len(self.idxs)
+
+    def __iter__(self):
+        return zip(self.indices(), self.values())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        n, size = len(self.idxs), len(self)
+        if not -size <= i < size:
+            raise IndexError("holding index out of range")
+        inst, c = divmod(i % size, n)
+        idx, stripe, s = self.idxs[c], self.stripes[c], self.s
+        val = sum(stripe[p * s + inst] << 8 * p for p in range(self.width))
+        return None if idx is None else inst * self.theta + idx, val
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Holding):
+            if (self.idxs, self.s, self.theta, self.width) == \
+                    (other.idxs, other.s, other.theta, other.width):
+                return self.stripes == other.stripes
+            return list(self) == list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def holding_from_pairs(node: NodeId, ids: Sequence[int], vals: Sequence[int],
+                       idxs: tuple[int, ...], s: int, theta: int, gf: GF) -> Holding:
+    """The one way from (index, value) pairs, given as their indices and
+    their values, to a Holding of symbols idxs in each of s instances: the
+    pairs must be exactly those symbols, instance-major in layout order (else
+    FormatError), with values in the field (else FormatError)."""
+    n = len(idxs)
+    if len(ids) != s * n or any(list(ids[c::n]) != list(range(i, i + s * theta, theta))
+                                for c, i in enumerate(idxs)):
+        raise FormatError(f"{node} does not hold exactly its {n} symbols "
+                          f"for each of s={s} instances")
+    if min(vals) < 0 or max(vals) >= gf.order:
+        raise FormatError(f"{node} holds a value outside GF(2^{gf.m})")
+    return Holding(idxs, tuple(to_stripes(vals, n, gf.width)), s, theta, gf.width)
+
+
+Symbols = Holding | list[tuple[int | None, int]]  # a node's symbols or a helper's sends
 
 
 @dataclass
@@ -27,7 +112,7 @@ class Placement:
     topology: ClusterTopology
     gf: GF
     params: dict[str, Any]  # alpha/beta_i/beta_c/gamma/M/theta per instance, s, ...
-    holdings: dict[NodeId, Holding]
+    holdings: dict[NodeId, Symbols]
 
     @property
     def instances(self) -> int:
@@ -37,7 +122,10 @@ class Placement:
         return Fraction(self.params["epsilon"])
 
     def holding_indices(self, node: NodeId) -> list[int]:
-        return [idx for idx, _ in self.holdings[node]]
+        holding = self.holdings[node]
+        if isinstance(holding, Holding):
+            return holding.indices()
+        return [idx for idx, _ in holding]
 
 
 @dataclass
@@ -46,7 +134,8 @@ class RepairTranscript:
 
     contributions preserves per-helper order and duplication (the wrapped
     code repeats intra-cluster symbols); idx is None for symbols computed on
-    the fly rather than read from storage. Cross-cluster helpers appear even
+    the fly rather than read from storage. repair records each helper's
+    sends as a Holding, one column per send and copy. Cross-cluster helpers appear even
     when they send nothing, since repair always enlists all n-1 helpers.
     """
     failed: NodeId
@@ -71,26 +160,33 @@ def _hex_width(gf: GF) -> int:
 def hex_symbols(values: Iterable[int], gf: GF) -> list[str]:
     """Field elements as lowercase hex of ceil(m/4) digits, the text form of a
     symbol."""
+    if isinstance(values, bytes) and _hex_width(gf) == 2:
+        return values.hex(" ").split()
     spec = f"0{_hex_width(gf)}x"
     return [format(val, spec) for val in values]
 
 
 def node_to_obj(node: NodeId, symbols: Symbols, gf: GF) -> dict:
     """The {"l", "j", "symbols"} record of a node's (index, value) pairs."""
-    hexes = hex_symbols([val for _, val in symbols], gf)
+    if isinstance(symbols, Holding):
+        ids, vals = symbols.indices(), symbols.values()
+    else:
+        ids, vals = [idx for idx, _ in symbols], [val for _, val in symbols]
     return {"l": node.l, "j": node.j, "symbols": [
-        {"idx": idx, "val_hex": text} for (idx, _), text in zip(symbols, hexes)]}
+        {"idx": idx, "val_hex": text} for idx, text in zip(ids, hex_symbols(vals, gf))]}
 
 
-def _nodes_from_obj(entries: list[dict], top: ClusterTopology,
-                    gf: GF) -> dict[NodeId, Holding]:
-    """Node records as (index, value) lists by node. A node listed twice is
-    refused, and so is a node outside the topology (ParamError), a symbol
-    index that is not an integer or a value not written as hex_symbols writes
-    it (FormatError)."""
+def _nodes_from_obj(entries: list[dict], top: ClusterTopology, gf: GF,
+                    s: Any = 1, theta: Any = None) -> dict[NodeId, Symbols]:
+    """Node records by node. A node listed twice is refused, and so is a node
+    outside the topology (ParamError), a symbol index that is not an integer
+    or a value not written as hex_symbols writes it (FormatError). A record
+    that holds the same symbols, in order, in each of s instances of theta
+    symbols becomes a Holding; any other stays a list of (index, value)
+    pairs, which the engine refuses when it reads that node."""
     width = _hex_width(gf)
     canonical = re.compile(f"[0-9a-f]{{{width}}}(?: [0-9a-f]{{{width}}})*")
-    nodes: dict[NodeId, Holding] = {}
+    nodes: dict[NodeId, Symbols] = {}
     for entry in entries:
         node = NodeId(as_int(entry["l"], "node l"), as_int(entry["j"], "node j"))
         if node in nodes:
@@ -108,7 +204,15 @@ def _nodes_from_obj(entries: list[dict], top: ClusterTopology,
                               f"hex digits")
         # one byte per symbol over GF(2^8), read in one call
         vals = bytes.fromhex(joined) if width == 2 else [int(text, 16) for text in texts]
-        nodes[node] = list(zip(idxs, vals))
+        holding = None
+        if type(s) is type(theta) is int and s > 0 and theta > 0 and idxs \
+                and len(idxs) % s == 0:
+            try:
+                holding = holding_from_pairs(node, idxs, vals, tuple(idxs[:len(idxs) // s]),
+                                             s, theta, gf)
+            except FormatError:
+                pass
+        nodes[node] = holding if holding is not None else list(zip(idxs, vals))
     return nodes
 
 
@@ -130,7 +234,8 @@ def placement_from_obj(obj: dict) -> Placement:
                                 for key in ("n", "k", "L")))
         gf = field_create(as_int(fobj["m"], "placement field m"),
                           as_int(fobj["poly"], "placement field poly"))
-        return Placement(kind, top, gf, params, _nodes_from_obj(obj["nodes"], top, gf))
+        return Placement(kind, top, gf, params, _nodes_from_obj(
+            obj["nodes"], top, gf, params.get("s", 1), params.get("theta")))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:

@@ -213,20 +213,41 @@ def _mates_swapped(plan, top):
     return broken
 
 
+def _combination_lengthened(mixer):
+    """A combination send of the mixer-th helper that sends one (-1: the
+    last) weighs one symbol more than the helper stores: alpha + 1
+    coefficients."""
+    def breaker(plan, top):
+        def broken(failed):
+            sends = dict(plan(failed))
+            mixers = [h for h, out in sends.items()
+                      if any(not isinstance(send, int) for send in out)]
+            h = mixers[mixer]
+            sends[h] = [send if isinstance(send, int) else ((*send[0], 1), send[1])
+                        for send in sends[h]]
+            return sends
+        return broken
+    return breaker
+
+
 BROKEN_PLANS = {
     "helper-dropped": ("mbr0", (6, 3, 2), {}, _helper_dropped),
     "coefficient-changed": ("msr-wrapped", (9, 5, 3), {"chi": 2}, _coefficient_changed),
     "rotation-shifted": ("msr0-div", (6, 3, 2), {}, _rotation_shifted),
     "mates-swapped": ("msr0-div", (6, 3, 2), {}, _mates_swapped),
+    "last-combination-lengthened": ("msr-wrapped", (9, 5, 3), {"chi": 2},
+                                    _combination_lengthened(-1)),
+    "first-combination-lengthened": ("msr-wrapped", (9, 5, 3), {"chi": 2},
+                                     _combination_lengthened(0)),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_PLANS)
 def test_repair_refuses_a_plan_that_does_not_determine_the_node(monkeypatch, case):
     """A plan whose sends do not fix every lost symbol of every codeword,
-    that reads the failed node, or that has a helper send a symbol it does
-    not store, is a ParamError naming the node, never a wrong holding or an
-    uncaught exception."""
+    that reads the failed node, that has a helper send a symbol it does not
+    store or a combination of other than its alpha symbols, is a ParamError
+    naming the node, never a wrong holding or an uncaught exception."""
     kind, shape, ratio, breaker = BROKEN_PLANS[case]
     top = ClusterTopology(*shape)
     m_size = declared_params(kind, top, **ratio)["M"]
@@ -237,6 +258,25 @@ def test_repair_refuses_a_plan_that_does_not_determine_the_node(monkeypatch, cas
     for node in top.nodes():
         with pytest.raises(ParamError, match=re.escape(str(node))):
             repair(p, node)
+
+
+@pytest.mark.parametrize("mixer", [-1, 0], ids=["last", "first"])
+def test_repair_names_the_helper_whose_combination_is_not_alpha_long(monkeypatch, mixer):
+    """msr-wrapped (9,5,3) chi 2 stores alpha = 4 symbols a node; a combination
+    of 5 is refused before it can index past the last mixer's rows or read
+    the next mixer's symbols."""
+    top = ClusterTopology(9, 5, 3)
+    p = build("msr-wrapped", top, list(Random(6).randbytes(40)), GF8, chi=2)
+    con = codes.construction("msr-wrapped", top, GF8, p.params)
+    broken = replace(con, repair_plan=_combination_lengthened(mixer)(con.repair_plan, top))
+    monkeypatch.setattr(codes, "construction", lambda *args: broken)
+    failed = NodeId(2, 1)
+    helper = [h for h, out in broken.repair_plan(failed).items()
+              if any(not isinstance(send, int) for send in out)][mixer]
+    with pytest.raises(ParamError, match=re.escape(
+            f"the repair plan of {failed} has {helper} send a combination of 5 symbols, "
+            f"but {helper} stores 4")):
+        repair(p, failed)
 
 
 @pytest.mark.parametrize("value", [-1, 256])

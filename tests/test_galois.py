@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercodes.errors import ParamError
-from clustercodes.galois import GF, field_create, find_factor, poly_mod
+from clustercodes.galois import GF, clmul_reduce, field_create, find_factor, poly_mod
 
 from oracles import gf2_factors, ref_mul
 
@@ -124,3 +124,32 @@ def test_row_kernels_match_mul(m, data):
     acc = data.draw(st.lists(elem, min_size=len(row), max_size=len(row)))
     assert gf.scale_row(c, row) == [gf.mul(c, y) for y in row]
     assert gf.addmul_row(acc, c, row) == [x ^ gf.mul(c, y) for x, y in zip(acc, row)]
+
+
+def _clmul_walk(m, poly):
+    """exp and log tables by one clmul_reduce per power, of the first
+    element of full multiplicative order: the walk GF built its tables with
+    before it multiplied by byte tables."""
+    size = (1 << m) - 1
+    for g in range(2, 1 << m):
+        exp, log, x = [0] * (2 * size), [0] * (1 << m), 1
+        for i in range(size):
+            if x == 1 and i > 0:
+                break
+            exp[i], log[x] = x, i
+            x = clmul_reduce(x, g, poly, m)
+        else:
+            exp[size:] = exp[:size]
+            return exp, log
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize("m, poly", [(8, 0x11D), (16, 0x1100B), (8, 0x11B), (4, 0x13),
+                                     (12, 0x1053)])
+def test_tables_equal_the_clmul_walk(m, poly):
+    """The default polynomials, and 0x11B, irreducible but not primitive: x
+    has order 51, so the walk must move on to another generator."""
+    gf = GF(m, poly)
+    assert (gf.exp, gf.log) == _clmul_walk(m, poly)
+    if poly == 0x11B:
+        assert gf.exp[1] != 2

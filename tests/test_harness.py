@@ -33,8 +33,10 @@ def test_exact_repair_detects_corruption():
 
     def corrupt(transcript):
         helper = next(h for h, syms in transcript.contributions.items() if syms)
-        idx, val = transcript.contributions[helper][0]
-        transcript.contributions[helper][0] = (idx, val ^ 1)
+        sent = list(transcript.contributions[helper])
+        idx, val = sent[0]
+        sent[0] = (idx, val ^ 1)
+        transcript.contributions[helper] = sent
 
     result = verify_exact_repair(p, NodeId(2, 3), mutate=corrupt)
     assert not result.passed
@@ -48,8 +50,10 @@ def test_exact_repair_detects_corruption_on_decode_paths():
 
     def corrupt(transcript):
         helper = next(h for h in transcript.contributions if h.l != transcript.failed.l)
-        idx, val = transcript.contributions[helper][0]
-        transcript.contributions[helper][0] = (idx, val ^ 5)
+        sent = list(transcript.contributions[helper])
+        idx, val = sent[0]
+        sent[0] = (idx, val ^ 5)
+        transcript.contributions[helper] = sent
 
     result = verify_exact_repair(p, NodeId(1, 1), mutate=corrupt)
     assert not result.passed
@@ -221,8 +225,10 @@ def _shift_indices(p, node):
 
 
 def _value_outside_field(p, node):
-    idx, _ = p.holdings[node][0]
-    p.holdings[node][0] = (idx, p.gf.order)
+    holding = list(p.holdings[node])
+    idx, _ = holding[0]
+    holding[0] = (idx, p.gf.order)
+    p.holdings[node] = holding
 
 
 @pytest.mark.parametrize("raw", KIND_SYSTEMS, ids=lambda raw: raw["code"])
@@ -249,8 +255,10 @@ def test_in_field_flip_fails_exact_repair(raw, monkeypatch):
 
     def flipped_build(*args, **kwargs):
         p = build(*args, **kwargs)
-        idx, val = p.holdings[NodeId(1, 2)][0]
-        p.holdings[NodeId(1, 2)][0] = (idx, val ^ 1)
+        holding = list(p.holdings[NodeId(1, 2)])
+        idx, val = holding[0]
+        holding[0] = (idx, val ^ 1)
+        p.holdings[NodeId(1, 2)] = holding
         return p
 
     monkeypatch.setattr(codes, "build", flipped_build)
