@@ -417,12 +417,16 @@ def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
     pool = [cols[i] for h in senders for i in con.layout[h]]
     pool += mix.stripes([pool[e] for e in mix_in]) if mixers else []
     vector = [pool[wire[h][1][f]] for h, _, firsts in received for f in firsts]
-    lost = [cols[i] for i in con.layout[failed]]
-    m_size = con.params["M"]
-    res = mat_solve(gf, _matrix(vector, m_size, gf), _matrix(lost, m_size, gf))
+    # each row of L is a stripe, one instance per lost symbol, so each
+    # stripe of the solution is a row of X
+    lost = _matrix([cols[i] for i in con.layout[failed]], con.params["M"], gf)
+    res = mat_solve(gf, _matrix(vector, con.params["M"], gf),
+                    [to_stripes(row, 1, gf.width)[0] for row in lost.data])
     if res.solution is None:
         raise ParamError(f"the repair plan of {failed} does not determine its symbols")
-    return _Repair(senders, mix_in, mix, wire, tuple(received), LinearMap(gf, res.solution))
+    solve = Matrix(len(vector), lost.cols,
+                   [list(from_stripes([x], gf.width)) for x in res.solution])
+    return _Repair(senders, mix_in, mix, wire, tuple(received), LinearMap(gf, solve))
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
@@ -454,16 +458,27 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
         if isinstance(syms, Holding) and len(syms.idxs) == width and syms.fits(s, w):
             stripes = syms.stripes
         else:
-            stripes = to_stripes([val for _, val in syms], width, w)
+            vals = [val for _, val in syms]
+            if min(vals) < 0 or max(vals) >= p.gf.order:
+                raise FormatError(f"{helper} sent a value outside GF(2^{p.gf.m})")
+            stripes = to_stripes(vals, width, w)
         received += [stripes[f] for f in firsts]
     return Holding(con.layout[transcript.failed], tuple(rp.solve.stripes(received)), s,
                    con.params["theta"], w)
 
 
+@lru_cache(maxsize=32)
+def _check(con: Construction, gf: GF, c: int, coords: tuple[int, ...]) -> LinearMap:
+    """The map from component c's source slice to its coordinates coords,
+    compiled once per contact set."""
+    return LinearMap(gf, con.components[c].generator.take_columns(list(coords)))
+
+
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """Decode the source from >= k distinct nodes, one decoding component at
-    a time and all s instances at once: Reed-Solomon components by rs_decode,
-    the others by elimination."""
+    """Decode the source from >= k distinct nodes, one component at a time
+    and all s instances at once: Reed-Solomon components by rs_decode, the
+    others by elimination. A component whose source slice earlier ones have
+    decoded is not decoded: its contacted symbols are checked against it."""
     unique = list(dict.fromkeys(nodes))
     con, s = _engine(p, unique)
     if len(unique) < p.topology.k:
@@ -474,11 +489,14 @@ def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
         for i, stripe in zip(con.layout[node], stripes):
             held.setdefault(i, []).append(stripe)
     msg: list[bytes] = [b""] * con.params["M"]  # per source symbol, its stripe
-    for comp in con.components:
-        if not comp.decodes:
-            continue
-        # every copy goes in: redundant ones are checked by the decode
+    for n, comp in enumerate(con.components):
+        # every copy goes in: redundant ones are checked
         shares = [(c, x) for c, i in enumerate(comp.idx) for x in held.get(i, ())]
+        if all(msg[comp.msg]):
+            lin = _check(con, p.gf, n, tuple(c for c, _ in shares))
+            if lin.stripes(msg[comp.msg]) != [x for _, x in shares]:
+                raise InconsistentSharesError("contacted symbols disagree with the decoded source")
+            continue
         if comp.rs:
             msg[comp.msg] = rs_decode(comp.rs, [(c + 1, x) for c, x in shares])
             continue

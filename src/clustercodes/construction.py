@@ -27,13 +27,13 @@ RepairPlan = dict[NodeId, list[Send]]  # per helper, what it sends for each inst
 class Component:
     """A linear code on the source slice `msg`: coordinate c of its codeword
     is stored as symbol idx[c]. RS components encode and decode through the
-    Reed-Solomon codec, the others through `generator` and elimination;
-    a component with decodes=False is redundant and only ever encoded."""
+    Reed-Solomon codec, the others through `generator` and elimination; a
+    component whose slice earlier components cover is redundant, and a
+    reconstruct checks it instead of decoding it."""
     generator: Matrix
     msg: slice
     idx: tuple[int, ...]
     rs: RsCode | None = None
-    decodes: bool = True
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,12 +12,12 @@ import time
 from dataclasses import dataclass
 from math import comb
 from random import Random
-from typing import Any, Callable
+from typing import Any
 
 from . import codes
 from .capacity import capacity_eval, derive, mbr_filesize_pos, mbr_filesize_zero
 from .errors import ClusterCodeError, FormatError
-from .placement import Placement, RepairTranscript
+from .placement import Placement
 from .topology import (ClusterTopology, NodeId, contact_sets, contact_vectors,
                        node_pair, nodes_realizing, omega_star)
 
@@ -48,9 +48,7 @@ def _node_str(node: NodeId) -> str:
     return f"{node.l},{node.j}"
 
 
-def verify_exact_repair(p: Placement, node: NodeId | None = None,
-                        mutate: Callable[[RepairTranscript], None] | None = None
-                        ) -> CheckResult:
+def verify_exact_repair(p: Placement, node: NodeId | None = None) -> CheckResult:
     """Repair every node (or just `node`): regenerated holdings must equal the
     originals bit-exactly and the transcript must meet the declared bandwidths."""
     name = "exact-repair"
@@ -61,9 +59,6 @@ def verify_exact_repair(p: Placement, node: NodeId | None = None,
     targets = [node] if node is not None else top.nodes()
     for failed in targets:
         transcript, regenerated = codes.repair(p, failed)
-        if mutate is not None:
-            mutate(transcript)
-            regenerated = codes.regenerate(p, transcript)
         if regenerated != p.holdings[failed]:
             return _fail(name, node=_node_str(failed), reason="regenerated != original")
         intra = [h for h in transcript.contributions if h.l == failed.l]

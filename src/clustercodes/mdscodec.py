@@ -123,6 +123,18 @@ def from_stripes(stripes, w: int) -> bytes | list[int]:
     return arr.tolist()
 
 
+def _instances(block: list[bytes], w: int) -> int:
+    """The instance count of a block of stripes (to_stripes). A block in
+    another form, as its container or first stripe shows, or of stripes that
+    differ in length, is a ParamError."""
+    if not isinstance(block, (list, tuple)) or block and type(block[0]) is not bytes:
+        raise ParamError("a block must be a list of stripes (to_stripes): bytes "
+                         "holding one symbol's value in every instance")
+    if len(set(map(len, block))) > 1:
+        raise ParamError("the stripes of a block differ in instance count")
+    return len(block[0]) // w if block else 0
+
+
 @lru_cache(maxsize=1024)
 def byte_tables(gf: GF, c: int) -> tuple[bytes, ...]:
     """Multiplication by c as bytes.translate tables, built through gf.mul: a
@@ -205,22 +217,12 @@ class LinearMap:
         log = self.gf.log
         return [[(j, log[c]) for j, c in enumerate(row) if c] for row in self.matrix.data]
 
-    def __call__(self, block: list[list[int]]) -> list[list[int]]:
-        """The map on a block of per-symbol value lists, one per source
-        symbol: the same map as stripes, with lists in and out."""
-        w = self.width
-        out = self.stripes([to_stripes(x, 1, w)[0] for x in block])
-        return [list(from_stripes([col], w)) for col in out]
-
     def stripes(self, block: list[bytes]) -> list[bytes]:
         """The map on a block of stripes, one per source symbol."""
-        g, w = self.matrix, self.width
+        g, s = self.matrix, _instances(block, self.width)
         if len(block) != g.rows:
             raise ParamError(f"block of {len(block)} source symbols does not match "
                              f"{g.rows} rows")
-        if len(set(map(len, block))) > 1:
-            raise ParamError("source symbols of a block differ in instance count")
-        s = len(block[0]) // w if block else 0
         if 0 < s < g.cols:
             return self._by_instance(block, s)
         return self._by_stripe(block, s)
@@ -275,8 +277,8 @@ class LinearMap:
 
 @lru_cache(maxsize=128)
 def _stripe_map(gf: GF, rows: tuple[tuple[int, ...], ...]) -> LinearMap:
-    """The map of a matrix given as row tuples, its stripe terms compiled
-    once for every wide block it is applied to."""
+    """The map of rs_decode's surplus columns, given as row tuples, its
+    stripe terms compiled once for every wide block it is applied to."""
     return LinearMap(gf, Matrix(len(rows), len(rows[0]) if rows else 0, rows))
 
 
@@ -311,14 +313,14 @@ def mat_rank(gf: GF, m: Matrix) -> int:
 
 @dataclass
 class SolveResult:
-    """Outcome of Gaussian elimination on A x = b.
+    """Outcome of Gaussian elimination on A x = b for a block of right-hand
+    sides.
 
-    solution is None when the system is inconsistent; free_cols lists the
-    non-pivot columns (nonempty means the solution shown is one of a family).
-    For a block b the solution is a block too, and the system is consistent
-    only when every column of b is.
+    solution is None when the system is inconsistent in some instance;
+    free_cols lists the non-pivot columns (nonempty means the solution shown
+    is one of a family).
     """
-    solution: list[int] | Matrix | list[bytes] | None
+    solution: list[bytes] | None
     rank: int
     free_cols: list[int] = field(default_factory=list)
 
@@ -337,51 +339,36 @@ class SolveResult:
 
 @lru_cache(maxsize=128)
 def _eliminated(gf: GF, rows: tuple[tuple[int, ...], ...],
-                cols: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A's elimination, once per coefficient matrix: (rank, pivot columns, T
-    transposed). T is what eliminating [A | I] leaves in the place of I: the
+                cols: int) -> tuple[int, tuple[int, ...], LinearMap]:
+    """A's elimination, once per coefficient matrix: (rank, pivot columns,
+    T's map). T is what eliminating [A | I] leaves in the place of I: the
     row operations of the elimination, which depend on A alone, so T b is the
-    right-hand side that eliminating [A | b] leaves. T comes transposed
-    because LinearMap computes x G."""
+    right-hand side that eliminating [A | b] leaves. The map holds T
+    transposed, because LinearMap computes x G, and compiles its stripe terms
+    once for every wide block it is applied to."""
     n = len(rows)
     aug, pivots = _row_reduce(gf, [[*row, *(int(i == j) for j in range(n))]
                                    for i, row in enumerate(rows)], cols)
-    return len(pivots), tuple(pivots), tuple(tuple(row[cols + r] for row in aug)
-                                             for r in range(n))
+    t = [[row[cols + r] for row in aug] for r in range(n)]
+    return len(pivots), tuple(pivots), LinearMap(gf, Matrix(n, n, t))
 
 
-def mat_solve(gf: GF, a: Matrix, b: list[int] | Matrix | list[bytes]) -> SolveResult:
-    """Solve A x = b in a single elimination for a vector b, for a Matrix
-    block b with one right-hand side per column, or for a block of stripes
-    (to_stripes) with one right-hand side per instance; a vector is the
-    one-column block, and the solution takes b's form.
+def mat_solve(gf: GF, a: Matrix, rhs: list[bytes]) -> SolveResult:
+    """Solve A x = b in every instance of a block of stripes (to_stripes):
+    rhs[r] holds row r's right-hand side in each instance, and the solution
+    holds each unknown's stripe.
 
-    The rule is LinearMap's: a block with at least as many right-hand sides
-    as A has rows is solved as T b, by the stripe kernel, for the cached
-    elimination T of [A | I] (_eliminated, and T's compiled map in
-    _stripe_map); a narrower one by eliminating [A | b]."""
+    The rule is LinearMap's: a block with at least as many instances as A
+    has rows is solved as T b, by the stripe kernel, for the cached
+    elimination T of [A | I] and its compiled map (_eliminated); a narrower
+    one by eliminating [A | b]."""
     w = gf.width
-    if isinstance(b, Matrix):
-        rows, width = b.data, b.cols
-    elif b and isinstance(b[0], bytes):
-        return _solve_stripes(gf, a, b, len(b[0]) // w)
-    else:
-        rows, width = [[x] for x in b], 1
-    res = _solve_stripes(gf, a, [to_stripes(row, 1, w)[0] for row in rows], width)
-    if res.solution is not None:
-        cols = [list(from_stripes([x], w)) for x in res.solution]
-        res.solution = (Matrix(a.cols, width, cols) if isinstance(b, Matrix)
-                        else [col[0] for col in cols])
-    return res
-
-
-def _solve_stripes(gf: GF, a: Matrix, rhs: list[bytes], s: int) -> SolveResult:
+    s = _instances(rhs, w)
     if len(rhs) != a.rows:
         raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
-    w = gf.width
     if s >= a.rows:
         rank, pivots, t = _eliminated(gf, tuple(map(tuple, a.data)), a.cols)
-        reduced = _stripe_map(gf, t).stripes(rhs)
+        reduced = t.stripes(rhs)
     else:
         n, vals = len(rhs), from_stripes(rhs, w)
         aug, pivots = _row_reduce(gf, [row + list(vals[r::n]) for r, row in enumerate(a.data)],
@@ -461,42 +448,30 @@ def rs_create(n_out: int, k_in: int, gf: GF, systematic: bool = False,
     return RsCode(n_out, k_in, gf, tuple(points), gen, systematic)
 
 
-def rs_encode(code: RsCode, message: list[int] | list[list[int]] | list[bytes]
-              ) -> list[int] | list[list[int]] | list[bytes]:
-    """The codeword of a message of k_in symbols. A message symbol may be a
-    list of one symbol per instance, or a stripe (to_stripes): the block of
-    instances is encoded at once, and the codeword is then one list or
-    stripe per coordinate."""
-    if len(message) != code.k_in:
-        raise ParamError(f"message length {len(message)} != k_in={code.k_in}")
-    if isinstance(message[0], int):
-        return [col[0] for col in code.map([[x] for x in message])]
-    if isinstance(message[0], bytes):
-        return code.map.stripes(message)
-    return code.map(message)
+def rs_encode(code: RsCode, message: list[bytes]) -> list[bytes]:
+    """The codewords of a block of messages: message[t] is message symbol
+    t's stripe (to_stripes), and the codeword holds one stripe per
+    coordinate."""
+    return code.map.stripes(message)
 
 
-def rs_decode(code: RsCode, shares: list[tuple[int, int | list[int] | bytes]]
-              ) -> list[int] | list[list[int]] | list[bytes]:
-    """Recover the message from shares [(coordinate, value)], coordinate 1-based.
+def rs_decode(code: RsCode, shares: list[tuple[int, bytes]]) -> list[bytes]:
+    """Recover a block of messages from shares [(coordinate, stripe)],
+    coordinate 1-based, by one elimination; the message holds one stripe per
+    message symbol.
 
-    A value is one symbol, a list of one symbol per instance or a stripe
-    (to_stripes): a block of instances decoded by one elimination, whose
-    message then has one list or stripe per message symbol. Needs k_in
-    distinct coordinates. Duplicate shares are checked against each other,
-    and the surplus ones against the codeword of the decoded message, in
-    every instance, by one map: the code's own instance by instance when the
-    block is narrower than the codeword, otherwise that of the surplus
-    columns alone, compiled once per column set. A disagreement raises
-    InconsistentSharesError.
+    Needs k_in distinct coordinates. Duplicate shares are checked against
+    each other, and the surplus ones against the codeword of the decoded
+    message, in every instance, by one map: the code's own instance by
+    instance when the block is narrower than the codeword, otherwise that of
+    the surplus columns alone, compiled once per column set. A disagreement
+    raises InconsistentSharesError.
     """
     w = code.gf.width
     seen: dict[int, bytes] = {}
     for coord, val in shares:
         if not 1 <= coord <= code.n_out:
             raise ParamError(f"coordinate {coord} outside [1, {code.n_out}]")
-        if not isinstance(val, bytes):
-            val = to_stripes([val] if isinstance(val, int) else val, 1, w)[0]
         if coord in seen and seen[coord] != val:
             raise InconsistentSharesError(f"conflicting values for coordinate {coord}")
         seen[coord] = val
@@ -521,11 +496,7 @@ def rs_decode(code: RsCode, shares: list[tuple[int, int | list[int] | bytes]]
                 raise InconsistentSharesError(
                     f"share at coordinate {c} disagrees with decoded message"
                 )
-    given = shares[0][1]
-    if isinstance(given, bytes):
-        return message
-    values = [list(from_stripes([x], w)) for x in message]
-    return [v[0] for v in values] if isinstance(given, int) else values
+    return message
 
 
 class ProductMatrixMsr:
@@ -536,7 +507,7 @@ class ProductMatrixMsr:
     message fills two symmetric alpha x alpha matrices S1, S2; node u stores
     psi_u^T [S1; S2] for the Vandermonde row psi_u = (1, x_u, ...,
     x_u^(2*alpha-1)) with lambda_u = x_u^alpha distinct. The wrapped
-    construction reads psi, lambda and the coeff rows from here.
+    construction reads psi and the coeff rows from here.
     """
 
     def __init__(self, n: int, k: int, gf: GF):
@@ -560,7 +531,6 @@ class ProductMatrixMsr:
         if len(xs) < n:
             raise ParamError(f"field GF(2^{gf.m}) too small for {n} encoding rows")
         self.xs = xs
-        self.lam = [gf.pow(x, self.alpha) for x in xs]
         self.psi = [[gf.pow(x, e) for e in range(2 * self.alpha)] for x in xs]
 
     def _tri(self, a: int, b: int) -> int:

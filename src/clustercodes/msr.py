@@ -53,7 +53,7 @@ def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:
              for t in range(1, n_i)]
     summed = Matrix(m_size, n, [row for _ in range(n_i - 1) for row in code.generator.data])
     parity = Component(summed, slice(0, m_size),
-                       tuple(i * n_i for i in range(1, n + 1)), decodes=False)
+                       tuple(i * n_i for i in range(1, n + 1)))
     # the cluster mates hold the rest of each of the failed node's groups
     return Construction(params, layout, (*slots, parity),
                         lambda failed: _whole_sends(layout, failed))

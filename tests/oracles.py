@@ -12,7 +12,7 @@ from math import comb
 
 from clustercodes.capacity import mbr_theta_pos
 from clustercodes.errors import ParamError
-from clustercodes.mdscodec import Matrix, ProductMatrixMsr, mat_solve
+from clustercodes.mdscodec import Matrix, ProductMatrixMsr, from_stripes, mat_solve, to_stripes
 from clustercodes.topology import node_flat
 
 
@@ -74,6 +74,14 @@ def rank(gf, rows: list[list[int]]) -> int:
                 rows[i] = [x ^ gf.mul(f, y) for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def solve(gf, a: Matrix, b: list[int]) -> list[int]:
+    """The unique x with A x = b: mat_solve on b as the stripes of one
+    instance."""
+    res = mat_solve(gf, a, to_stripes(b, len(b), gf.width))
+    assert res.unique, "the system does not pin x"
+    return list(from_stripes(res.solution, gf.width))
 
 
 def majorizes(a, b) -> bool:
@@ -142,7 +150,7 @@ def _paper_equations(p, con, failed) -> list[tuple[int, list[tuple[int, int]]]]:
     rows = []
     for t, u in enumerate(cross):
         coords = intra + [u]
-        x = mat_solve(gf, gen.take_columns([c - 1 for c in coords]), gen.column(f - 1)).solution
+        x = solve(gf, gen.take_columns([c - 1 for c in coords]), gen.column(f - 1))
         rows.append((1, [(n * t + c, xc) for c, xc in zip(coords, x)]))
     return rows
 
@@ -246,9 +254,9 @@ def pm_regenerate(base, failed: int, received: dict[int, int]) -> list[int]:
     helpers = sorted(received)
     assert len(helpers) == base.n - 1 and failed not in helpers
     system = Matrix(base.n - 1, 2 * base.alpha, [base.psi[u] for u in helpers])
-    y = mat_solve(base.gf, system, [received[u] for u in helpers]).solution
-    return [y[a] ^ base.gf.mul(base.lam[failed], y[base.alpha + a])
-            for a in range(base.alpha)]
+    y = solve(base.gf, system, [received[u] for u in helpers])
+    lam = base.gf.pow(base.xs[failed], base.alpha)
+    return [y[a] ^ base.gf.mul(lam, y[base.alpha + a]) for a in range(base.alpha)]
 
 
 def pm_reconstruct(base, shares: dict[int, list[int]]) -> list[int]:
@@ -258,6 +266,4 @@ def pm_reconstruct(base, shares: dict[int, list[int]]) -> list[int]:
         for slot in range(base.alpha):
             rows.append(base.coeff(u, slot))
             rhs.append(shares[u][slot])
-    res = mat_solve(base.gf, Matrix(len(rows), base.file_size, rows), rhs)
-    assert res.solution is not None and not res.underdetermined
-    return res.solution
+    return solve(base.gf, Matrix(len(rows), base.file_size, rows), rhs)

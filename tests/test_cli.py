@@ -625,7 +625,7 @@ def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
     obj = json.loads(place.read_text())
     p = placement_from_obj(obj)
     con = codes.construction(p.kind, p.topology, p.gf, p.params)
-    read = next(comp for comp in con.components if comp.decodes).idx[0]
+    read = con.components[0].idx[0]
     target = (s - 1) * con.params["theta"] + read
     stored = [x for e in obj["nodes"] for x in e["symbols"] if x["idx"] == target]
     for sym in stored[:1] if copies == "one" else stored:
@@ -636,5 +636,35 @@ def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
         codes.reconstruct(bad, list(bad.topology.nodes()))
     _, reconstruct = load_commands(tmp_path, place)
     code, _, err = run(capsys, *reconstruct)
+    assert code == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", [1, 64])
+def test_msr0_div_contacted_parity_checked(tmp_path, capsys, s):
+    """msr0-div decodes its source from the n_I - 1 slot components and
+    checks the parity symbols it contacts against that source: one parity
+    value flipped on N(1,1) in the last instance makes the reconstruct from
+    N(1,1), N(1,2), N(2,1) fail, by stripe at s = 64 and instance by instance
+    at s = 1, and the CLI exit 1."""
+    from clustercodes import codes
+    from clustercodes.errors import InconsistentSharesError
+    from clustercodes.placement import load_json, placement_from_obj
+    from clustercodes.topology import NodeId
+    _, place = build_kind(tmp_path, capsys, "msr0-div", s)
+    obj = json.loads(place.read_text())
+    p = placement_from_obj(obj)
+    con = codes.construction(p.kind, p.topology, p.gf, p.params)
+    theta, parity = con.params["theta"], set(con.components[-1].idx)
+    node = next(e for e in obj["nodes"] if (e["l"], e["j"]) == (1, 1))
+    sym = next(x for x in node["symbols"]
+               if x["idx"] > (s - 1) * theta and (x["idx"] - 1) % theta + 1 in parity)
+    sym["val_hex"] = f"{int(sym['val_hex'], 16) ^ 1:02x}"
+    place.write_text(json.dumps(obj))
+    bad = placement_from_obj(load_json(place.read_text()))
+    with pytest.raises(InconsistentSharesError):
+        codes.reconstruct(bad, [NodeId(1, 1), NodeId(1, 2), NodeId(2, 1)])
+    code, _, err = run(capsys, "reconstruct", "--placement", str(place),
+                       "--nodes", "1,1", "1,2", "2,1", "--out", str(tmp_path / "x.bin"))
     assert code == 1, err
     assert "Traceback" not in err

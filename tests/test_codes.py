@@ -11,7 +11,7 @@ import pytest
 
 from clustercodes import codes
 from clustercodes.codes import build, declared_params, reconstruct, repair
-from clustercodes.errors import ParamError
+from clustercodes.errors import FormatError, ParamError
 from clustercodes.galois import field_create
 from clustercodes.mdscodec import ProductMatrixMsr
 from clustercodes.placement import transcript_to_obj
@@ -78,7 +78,9 @@ def test_wrapped_matches_product_matrix_reference():
 @pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
 def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
     """A reconstruct decodes every instance with one rs_decode or mat_solve
-    call per decoding component, whatever the instance count."""
+    call per component it decodes, whatever the instance count; a component
+    whose source slice earlier ones cover (msr0-div's parity) is checked,
+    not decoded."""
     calls = []
 
     def counted(fn):
@@ -96,8 +98,11 @@ def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
         rng = Random(s)
         source = [rng.randrange(256) for _ in range(s * m_size)]
         p = build(kind, top, source, GF8, **ratio)
-        decoding = sum(comp.decodes for comp in
-                       codes.construction(kind, top, GF8, p.params).components)
+        covered, decoding = set(), 0
+        for comp in codes.construction(kind, top, GF8, p.params).components:
+            rows = set(range(m_size)[comp.msg])
+            decoding += not rows <= covered
+            covered |= rows
         calls.clear()
         assert reconstruct(p, contact) == source
         assert len(calls) == decoding, (s, calls)
@@ -284,6 +289,22 @@ def test_build_rejects_values_outside_the_field(value):
     top = ClusterTopology(6, 3, 2)
     with pytest.raises(ParamError, match="outside"):
         build("mbr0", top, [1, value, 2] * 4, GF8)
+
+
+@pytest.mark.parametrize("gf, value", [(GF8, 256), (GF8, -1), (GF16, 65536), (GF16, -1)],
+                         ids=["gf8-256", "gf8-neg", "gf16-65536", "gf16-neg"])
+def test_regenerate_refuses_a_sent_value_outside_the_field(gf, value):
+    """A contribution given as a list of (index, value) pairs with a value
+    outside the field is a FormatError naming the helper that sent it."""
+    top = ClusterTopology(6, 3, 2)
+    p = build("mbr0", top, list(range(6)), gf)
+    transcript, _ = repair(p, NodeId(1, 1))
+    helper = next(h for h, syms in transcript.contributions.items() if syms)
+    sent = list(transcript.contributions[helper])
+    sent[-1] = (sent[-1][0], value)
+    transcript.contributions[helper] = sent
+    with pytest.raises(FormatError, match=re.escape(f"{helper} sent a value outside")):
+        codes.regenerate(p, transcript)
 
 
 @pytest.mark.parametrize("kind, shape, ratio", [REFERENCE[1], REFERENCE[6]],

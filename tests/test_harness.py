@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from clustercodes import codes
 from clustercodes.codes import build, declared_params, parse_config
 from clustercodes.errors import FormatError
 from clustercodes.galois import field_create
@@ -28,17 +29,28 @@ def test_exact_repair_passes():
     assert verify_exact_repair(p, NodeId(2, 3)).passed
 
 
+def _corrupt_first_send(transcript, helper):
+    """Flip the first value helper sent, in place."""
+    sent = list(transcript.contributions[helper])
+    idx, val = sent[0]
+    sent[0] = (idx, val ^ 1)
+    transcript.contributions[helper] = sent
+
+
 def test_exact_repair_detects_corruption():
+    """A corrupted send regenerates a holding other than the original; and
+    the check reports the node whose stored holding the repair does not
+    reproduce."""
     p, _ = build_fig4(1)
-
-    def corrupt(transcript):
-        helper = next(h for h, syms in transcript.contributions.items() if syms)
-        sent = list(transcript.contributions[helper])
-        idx, val = sent[0]
-        sent[0] = (idx, val ^ 1)
-        transcript.contributions[helper] = sent
-
-    result = verify_exact_repair(p, NodeId(2, 3), mutate=corrupt)
+    failed = NodeId(2, 3)
+    transcript, _ = codes.repair(p, failed)
+    _corrupt_first_send(transcript, next(h for h, syms in transcript.contributions.items()
+                                         if syms))
+    assert codes.regenerate(p, transcript) != p.holdings[failed]
+    stored = list(p.holdings[failed])
+    stored[0] = (stored[0][0], stored[0][1] ^ 1)
+    p.holdings[failed] = stored
+    result = verify_exact_repair(p, failed)
     assert not result.passed
     assert result.counterexample["node"] == "2,3"
 
@@ -47,16 +59,11 @@ def test_exact_repair_detects_corruption_on_decode_paths():
     top = ClusterTopology(6, 2, 3)
     src = random_source(GF8, 8, 2)
     p = build("msr-stacked", top, src, GF8)
-
-    def corrupt(transcript):
-        helper = next(h for h in transcript.contributions if h.l != transcript.failed.l)
-        sent = list(transcript.contributions[helper])
-        idx, val = sent[0]
-        sent[0] = (idx, val ^ 5)
-        transcript.contributions[helper] = sent
-
-    result = verify_exact_repair(p, NodeId(1, 1), mutate=corrupt)
-    assert not result.passed
+    failed = NodeId(1, 1)
+    transcript, _ = codes.repair(p, failed)
+    _corrupt_first_send(transcript, next(h for h in transcript.contributions
+                                         if h.l != failed.l))
+    assert codes.regenerate(p, transcript) != p.holdings[failed]
 
 
 def test_reconstruction_exhaustive():

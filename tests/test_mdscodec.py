@@ -9,15 +9,30 @@ from clustercodes import mdscodec
 from clustercodes.errors import (InconsistentSharesError, InsufficientDataError,
                                  ParamError)
 from clustercodes.galois import field_create
-from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables,
+from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables, from_stripes,
                                    generator_min_distance, mat_mul, mat_rank,
                                    mat_solve, rs_create, rs_decode, rs_encode,
-                                   vec_mat)
+                                   to_stripes, vec_mat)
 
 from oracles import det
 
 GF8 = field_create(8)
 GF16 = field_create(16)
+
+
+def stripe(gf, vals):
+    """One symbol's stripe: its value in each instance."""
+    return to_stripes(vals, 1, gf.width)[0]
+
+
+def values(gf, x):
+    """A stripe's values, one per instance."""
+    return list(from_stripes([x], gf.width))
+
+
+def one(vals, gf=GF8):
+    """The stripes of a single instance, one per symbol."""
+    return to_stripes(vals, len(vals), gf.width)
 
 
 def test_rs_create_dimensions():
@@ -28,7 +43,7 @@ def test_rs_create_dimensions():
 
 def test_rs_identity_code_roundtrip():
     code = rs_create(5, 5, GF8)
-    msg = [7, 0, 255, 13, 1]
+    msg = one([7, 0, 255, 13, 1])
     shares = list(enumerate(rs_encode(code, msg), start=1))
     assert rs_decode(code, shares) == msg
 
@@ -50,32 +65,55 @@ def test_rs_too_long_suggests_promotion():
 
 def test_encode_zero_message():
     code = rs_create(18, 11, GF8)
-    assert rs_encode(code, [0] * 11) == [0] * 18
+    assert rs_encode(code, one([0] * 11)) == one([0] * 18)
 
 
 def test_encode_length_checks():
     code = rs_create(18, 11, GF8)
-    assert len(rs_encode(code, list(range(1, 12)))) == 18
+    assert len(rs_encode(code, one(list(range(1, 12))))) == 18
     with pytest.raises(ParamError):
-        rs_encode(code, [1] * 10)
+        rs_encode(code, one([1] * 10))
     with pytest.raises(ParamError):
-        rs_encode(code, [[1, 2]] * 10)  # a block of 10 symbols
+        rs_encode(code, [b"\1\2"] * 10)  # a block of 10 symbols
     with pytest.raises(ParamError):
-        rs_encode(code, [[1, 2]] * 10 + [[1]])  # one symbol an instance short
+        rs_encode(code, [b"\1\2"] * 10 + [b"\1"])  # one symbol an instance short
     with pytest.raises(ParamError):
-        LinearMap(GF8, code.generator)([[1]] * 12)
+        LinearMap(GF8, code.generator).stripes([b"\1"] * 12)
+
+
+FORMS = {"symbols": [1, 2, 3], "lists": [[1], [2], [3]],
+         "matrix": Matrix(3, 1, [[1], [2], [3]])}
+
+
+def _takes(name, block):
+    code = rs_create(5, 3, GF8)
+    return {"mat_solve": lambda: mat_solve(GF8, Matrix.identity(3), block),
+            "rs_encode": lambda: rs_encode(code, block),
+            "rs_decode": lambda: rs_decode(code, list(zip((1, 2, 3), block))),
+            "LinearMap.stripes": lambda: LinearMap(GF8, code.generator).stripes(block)}[name]
+
+
+@pytest.mark.parametrize("name, form", [
+    (name, form) for name in ("mat_solve", "rs_encode", "rs_decode", "LinearMap.stripes")
+    for form in FORMS if (name, form) != ("rs_decode", "matrix")])
+def test_only_stripes_are_taken(name, form):
+    """Single symbols, per-instance lists and a Matrix of right-hand sides
+    are refused up front, by a ParamError that names the stripe form, not a
+    TypeError from inside the kernel."""
+    with pytest.raises(ParamError, match="stripes"):
+        _takes(name, FORMS[form])()
 
 
 def test_repetition_like_single_symbol():
     code = rs_create(6, 1, GF8)
-    word = rs_encode(code, [9])
+    word = rs_encode(code, one([9]))
     for coord, val in enumerate(word, start=1):
-        assert rs_decode(code, [(coord, val)]) == [9]
+        assert rs_decode(code, [(coord, val)]) == one([9])
 
 
 def test_decode_all_subsets_6_3():
     code = rs_create(6, 3, GF8)
-    msg = [201, 0, 77]
+    msg = one([201, 0, 77])
     word = rs_encode(code, msg)
     for triple in combinations(range(1, 7), 3):
         assert rs_decode(code, [(c, word[c - 1]) for c in triple]) == msg
@@ -83,7 +121,7 @@ def test_decode_all_subsets_6_3():
 
 def test_systematic_prefix_is_message():
     code = rs_create(6, 3, GF8, systematic=True)
-    msg = [17, 42, 0]
+    msg = one([17, 42, 0])
     word = rs_encode(code, msg)
     assert word[:3] == msg
     assert rs_decode(code, [(c, word[c - 1]) for c in (1, 2, 3)]) == msg
@@ -91,7 +129,7 @@ def test_systematic_prefix_is_message():
 
 def test_decode_11_of_18():
     code = rs_create(18, 11, GF8)
-    msg = list(range(30, 41))
+    msg = one(list(range(30, 41)))
     word = rs_encode(code, msg)
     shares = [(c, word[c - 1]) for c in (1, 3, 4, 7, 9, 10, 12, 14, 15, 17, 18)]
     assert rs_decode(code, shares) == msg
@@ -99,37 +137,37 @@ def test_decode_11_of_18():
 
 def test_decode_insufficient():
     code = rs_create(6, 3, GF8)
-    word = rs_encode(code, [1, 2, 3])
+    word = rs_encode(code, one([1, 2, 3]))
     with pytest.raises(InsufficientDataError):
         rs_decode(code, [(1, word[0]), (2, word[1])])
 
 
 def test_decode_detects_corrupted_surplus():
     code = rs_create(6, 3, GF8)
-    word = rs_encode(code, [1, 2, 3])
+    word = rs_encode(code, one([1, 2, 3]))
     shares = [(c, word[c - 1]) for c in (1, 2, 3, 4)]
-    shares[3] = (4, word[3] ^ 1)
+    shares[3] = (4, bytes([word[3][0] ^ 1]))
     with pytest.raises(InconsistentSharesError):
         rs_decode(code, shares)
 
 
 def test_mat_solve_identity():
-    b = [5, 6, 7]
+    b = one([5, 6, 7])
     res = mat_solve(GF8, Matrix.identity(3), b)
     assert res.solution == b and res.unique
 
 
 def test_mat_solve_singular_consistent_flagged():
     a = Matrix(2, 2, [[1, 1], [1, 1]])
-    res = mat_solve(GF8, a, [4, 4])
+    res = mat_solve(GF8, a, one([4, 4]))
     assert res.consistent and res.underdetermined
-    x = res.solution
+    x = from_stripes(res.solution, 1)
     assert x[0] ^ x[1] == 4  # one member of the affine family
 
 
 def test_mat_solve_inconsistent():
     a = Matrix(2, 2, [[1, 1], [1, 1]])
-    res = mat_solve(GF8, a, [4, 5])
+    res = mat_solve(GF8, a, one([4, 5]))
     assert res.solution is None and not res.consistent
 
 
@@ -144,7 +182,7 @@ def test_mat_solve_random_full_rank_roundtrip():
     for i in range(5):
         for j in range(5):
             b[i] ^= GF8.mul(a.data[i][j], x[j])
-    assert mat_solve(GF8, a, b).solution == x
+    assert mat_solve(GF8, a, one(b)).solution == one(x)
 
 
 def test_mat_mul_identity():
@@ -170,7 +208,7 @@ def test_mds_property_every_code_up_to_length_12():
 def test_decode_roundtrip_all_subsets(n_out, k_in):
     rng = Random(n_out)
     code = rs_create(n_out, k_in, GF8)
-    msg = [rng.randrange(256) for _ in range(k_in)]
+    msg = one([rng.randrange(256) for _ in range(k_in)])
     word = rs_encode(code, msg)
     for subset in combinations(range(1, n_out + 1), k_in):
         assert rs_decode(code, [(c, word[c - 1]) for c in subset]) == msg
@@ -212,22 +250,34 @@ def _block_system(draw, gf, shape):
     return a, blocks
 
 
+def _rows_as_stripes(gf, b):
+    """A Matrix block of right-hand sides, one column per instance, as
+    stripes: row r of b is right-hand side r in every instance."""
+    return [stripe(gf, row) for row in b.data]
+
+
+def _solution(gf, res, width):
+    """A solved block as the Matrix of its unknowns, one column per instance."""
+    return Matrix(len(res.solution), width, [values(gf, x) for x in res.solution])
+
+
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
 @pytest.mark.parametrize("shape", ["full-rank", "singular", "inconsistent",
                                    "overdetermined", "underdetermined"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_block_solve_equals_column_solves(gf, shape, data):
-    """However wide the block, its solve is the per-column solves, which
-    eliminate [A | b]: the same rank, free columns, consistency and solution,
-    whether the block is solved by the cached elimination of [A | I] (as
-    wide as A has rows, or wider) or by its own."""
+    """However many instances a block holds, its solve is the per-instance
+    solves, which eliminate [A | b]: the same rank, free columns,
+    consistency and solution, whether the block is solved by the cached
+    elimination of [A | I] (as many instances as A has rows, or more) or by
+    its own."""
     a, blocks = _block_system(data.draw, gf, shape)
     if shape == "full-rank":
         assume(mat_rank(gf, a) == a.rows)
     for b in blocks:
-        block = mat_solve(gf, a, b)
-        per_column = [mat_solve(gf, a, b.column(j)) for j in range(b.cols)]
+        block = mat_solve(gf, a, _rows_as_stripes(gf, b))
+        per_column = [mat_solve(gf, a, one(b.column(j), gf)) for j in range(b.cols)]
         assert all(res.rank == block.rank for res in per_column), b.cols
         assert block.consistent == all(res.consistent for res in per_column)
         assert block.consistent == (shape != "inconsistent")
@@ -235,35 +285,34 @@ def test_block_solve_equals_column_solves(gf, shape, data):
             assert block.solution is None and block.free_cols == []
             continue
         assert all(res.free_cols == block.free_cols for res in per_column)
-        assert [block.solution.column(j) for j in range(b.cols)] == \
-            [res.solution for res in per_column]
-        assert mat_mul(gf, a, block.solution).data == b.data
+        x = _solution(gf, block, b.cols)
+        assert [x.column(j) for j in range(b.cols)] == \
+            [list(from_stripes(res.solution, gf.width)) for res in per_column]
+        assert mat_mul(gf, a, x).data == b.data
 
 
 # ------------------------------------- wide blocks: a cached elimination
 
 def test_wide_solutions_are_fresh_lists():
     """A caller may change what mat_solve returns: an underdetermined system
-    solved twice from the cache gives the same solution the second time,
-    its rows (free columns' zero rows included) distinct lists each time."""
+    solved twice from the cache gives the same solution and free columns the
+    second time, in lists of their own."""
     a = Matrix(2, 4, [[1, 2, 3, 4], [5, 6, 7, 9]])
-    b = Matrix(2, 4, [[7, 8, 9, 10], [11, 12, 13, 14]])
+    b = [bytes([7, 8, 9, 10]), bytes([11, 12, 13, 14])]
     first = mat_solve(GF8, a, b)
-    want = [list(row) for row in first.solution.data]
+    want = list(first.solution)
     assert first.free_cols == [2, 3]
-    for row in first.solution.data:
-        row[:] = [255] * len(row)
+    first.solution[:] = [b"\xff" * 4] * a.cols
     first.free_cols.append(0)
     again = mat_solve(GF8, a, b)
-    assert again.solution.data == want and again.free_cols == [2, 3]
-    assert len({id(row) for row in again.solution.data}) == a.cols
-    assert not {id(row) for row in again.solution.data} & \
-        {id(row) for row in first.solution.data}
+    assert again.solution == want and again.free_cols == [2, 3]
+    assert again.solution is not first.solution
 
 
 def test_second_wide_solve_of_a_matrix_eliminates_nothing(monkeypatch):
-    """The elimination of [A | I] is held per coefficient matrix: another wide
-    block on the same A reuses it, and a narrow one still eliminates."""
+    """The elimination of [A | I] and T's compiled map are held per
+    coefficient matrix: another wide block on the same A reuses them in one
+    cache lookup, and a narrow one still eliminates."""
     rng = Random(23)
     a = Matrix(4, 4, [[rng.randrange(GF16.order) for _ in range(4)] for _ in range(4)])
 
@@ -271,16 +320,18 @@ def test_second_wide_solve_of_a_matrix_eliminates_nothing(monkeypatch):
         return Matrix(4, width, [[rng.randrange(GF16.order) for _ in range(width)]
                                  for _ in range(4)])
 
-    mat_solve(GF16, a, block(4))
+    mat_solve(GF16, a, _rows_as_stripes(GF16, block(4)))
     calls = []
     real = mdscodec._row_reduce
     monkeypatch.setattr(mdscodec, "_row_reduce",
                         lambda *args: calls.append(len(args[1])) or real(*args))
-    wide = block(300)
-    res = mat_solve(GF16, a, wide)
-    assert calls == []
-    assert mat_mul(GF16, a, res.solution).data == wide.data
-    mat_solve(GF16, a, block(3))
+    monkeypatch.setattr(mdscodec, "_stripe_map", None)  # rs_decode's surplus maps only
+    wide, before = block(300), mdscodec._eliminated.cache_info()
+    res = mat_solve(GF16, a, _rows_as_stripes(GF16, wide))
+    after = mdscodec._eliminated.cache_info()
+    assert calls == [] and (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert mat_mul(GF16, a, _solution(GF16, res, 300)).data == wide.data
+    mat_solve(GF16, a, _rows_as_stripes(GF16, block(3)))
     assert calls == [4]
 
 
@@ -289,7 +340,7 @@ def _instances(gf, n_out, k_in, s, seed):
     rng = Random(seed)
     code = rs_create(n_out, k_in, gf)
     msgs = [[rng.randrange(gf.order) for _ in range(k_in)] for _ in range(s)]
-    return code, msgs, [rs_encode(code, msg) for msg in msgs]
+    return code, msgs, [vec_mat(gf, msg, code.generator) for msg in msgs]
 
 
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
@@ -302,10 +353,11 @@ def test_rs_block_decode_equals_instance_decodes(gf, data):
     code, msgs, words = _instances(gf, n_out, k_in, s, data.draw(st.integers(0, 99)))
     coords = data.draw(st.lists(st.integers(1, n_out), min_size=k_in, max_size=2 * n_out)
                        .filter(lambda cs: len(set(cs)) >= k_in))
-    block = rs_decode(code, [(c, [w[c - 1] for w in words]) for c in coords])
-    per_instance = [rs_decode(code, [(c, w[c - 1]) for c in coords]) for w in words]
-    assert per_instance == msgs
-    assert block == [list(col) for col in zip(*per_instance)]
+    block = rs_decode(code, [(c, stripe(gf, [w[c - 1] for w in words])) for c in coords])
+    per_instance = [rs_decode(code, [(c, stripe(gf, [w[c - 1]])) for c in coords])
+                    for w in words]
+    assert [list(from_stripes(msg, gf.width)) for msg in per_instance] == msgs
+    assert [values(gf, x) for x in block] == [list(col) for col in zip(*msgs)]
 
 
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
@@ -323,7 +375,7 @@ def test_rs_block_checks_the_last_instance(gf, fault):
     else:
         shares[-1] = (coords[-1], bad)
     with pytest.raises(InconsistentSharesError):
-        rs_decode(code, shares)
+        rs_decode(code, [(c, stripe(gf, vals)) for c, vals in shares])
 
 
 # ------------------------------------------------ the block kernel
@@ -335,7 +387,8 @@ def _instance_counts(cols):
 
 
 def _block(draw, gf, rows, s):
-    """rows stripes of s seeded random symbols; the drawn ones are all zero."""
+    """rows stripes' values, s seeded random symbols each; the drawn ones are
+    all zero."""
     rng = Random(draw(st.integers(0, 2**32)))
     zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
     return [[0] * s if z else [rng.randrange(gf.order) for _ in range(s)] for z in zero]
@@ -354,7 +407,8 @@ def test_linear_map_equals_instance_products(gf, data):
     for s in _instance_counts(cols):
         block = _block(data.draw, gf, rows, s)
         want = [vec_mat(gf, list(x), g) for x in zip(*block)]
-        assert lin(block) == [list(col) for col in zip(*want)], s
+        got = lin.stripes([stripe(gf, x) for x in block])
+        assert [values(gf, x) for x in got] == [list(col) for col in zip(*want)], s
 
 
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
@@ -367,8 +421,10 @@ def test_rs_block_encode_equals_instance_encodes(gf, data):
     for s in _instance_counts(n_out):
         block = _block(data.draw, gf, k_in, s)
         want = [vec_mat(gf, list(msg), code.generator) for msg in zip(*block)]
-        assert [rs_encode(code, list(msg)) for msg in zip(*block)] == want
-        assert rs_encode(code, block) == [list(col) for col in zip(*want)], s
+        assert [list(from_stripes(rs_encode(code, one(list(msg), gf)), gf.width))
+                for msg in zip(*block)] == want
+        got = rs_encode(code, [stripe(gf, x) for x in block])
+        assert [values(gf, x) for x in got] == [list(col) for col in zip(*want)], s
 
 
 @pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])

@@ -277,7 +277,7 @@ class TestProductMatrixBase:
     def test_contract_shape(self):
         base = ProductMatrixMsr(9, 5, GF8)
         assert base.alpha == 4 and base.file_size == 20
-        assert len(set(base.lam)) == 9  # distinct lambdas
+        assert len({GF8.pow(x, base.alpha) for x in base.xs}) == 9  # distinct lambdas
 
     def test_requires_n_2k_minus_1(self):
         with pytest.raises(ParamError, match="2k-1"):
