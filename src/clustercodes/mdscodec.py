@@ -125,14 +125,24 @@ def from_stripes(stripes, w: int) -> bytes | list[int]:
 
 def _instances(block: list[bytes], w: int) -> int:
     """The instance count of a block of stripes (to_stripes). A block in
-    another form, as its container or first stripe shows, or of stripes that
-    differ in length, is a ParamError."""
-    if not isinstance(block, (list, tuple)) or block and type(block[0]) is not bytes:
+    another form, as its container or any of its stripes shows, or of
+    stripes that differ in length or are not whole w-byte symbols, is a
+    ParamError. The checks read each stripe's type and length, never its
+    bytes."""
+    try:
+        if not isinstance(block, (list, tuple)):
+            raise TypeError
+        lengths = set(map(bytes.__len__, block))  # a TypeError for any other type
+    except TypeError:
         raise ParamError("a block must be a list of stripes (to_stripes): bytes "
-                         "holding one symbol's value in every instance")
-    if len(set(map(len, block))) > 1:
+                         "holding one symbol's value in every instance") from None
+    if len(lengths) > 1:
         raise ParamError("the stripes of a block differ in instance count")
-    return len(block[0]) // w if block else 0
+    size = lengths.pop() if lengths else 0
+    if size % w:
+        raise ParamError(f"stripes of {size} bytes are not whole {w}-byte symbols "
+                         "(to_stripes)")
+    return size // w
 
 
 @lru_cache(maxsize=1024)
@@ -309,6 +319,47 @@ def _row_reduce(gf: GF, rows: list[list[int]],
 def mat_rank(gf: GF, m: Matrix) -> int:
     _, pivots = _row_reduce(gf, [row[:] for row in m.data], m.cols)
     return len(pivots)
+
+
+def first_deficient(gf: GF, columns: list[list[list[int]]], sets: list[tuple[int, ...]],
+                    rank: int) -> tuple[int, ...] | None:
+    """The first of sets (tuples of node indices) whose nodes' columns span
+    fewer than rank dimensions, or None when every set reaches rank.
+
+    columns[u] is node u's group of columns, each a list of field elements
+    of equal length. The sets are walked as a prefix tree: the echelon basis
+    of the current set's first d nodes is kept for every depth d, so a set
+    reduces only the columns of the nodes after the prefix it shares with
+    the set before it, and a prefix whose basis reaches rank closes every
+    set that extends it. Sorted sets (contact_sets) share the most; any
+    order gives the same answer."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row scaled to 1 there), in order
+    sizes = [0]  # sizes[d]: the basis length of path's first d nodes
+    path: tuple[int, ...] = ()
+    for sub in sets:
+        depth, shared = 0, min(len(sizes) - 1, len(sub))
+        while depth < shared and sub[depth] == path[depth]:
+            depth += 1
+        if sizes[depth] >= rank:
+            continue
+        del basis[sizes[depth]:], sizes[depth + 1:]
+        for u in sub[depth:]:
+            for x in columns[u]:
+                # each row has zeros at the pivots before its own, so one
+                # pass in order clears every pivot of x
+                for p, row in basis:
+                    if x[p]:
+                        x = gf.addmul_row(x, x[p], row)
+                p = next((i for i, v in enumerate(x) if v), None)
+                if p is not None:
+                    basis.append((p, gf.scale_row(gf.inv(x[p]), x)))
+            sizes.append(len(basis))
+            if len(basis) >= rank:
+                break
+        path = sub
+        if len(basis) < rank:
+            return sub
+    return None
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .capacity import derive
 from .construction import Component, Construction, RepairPlan
 from .errors import FormatError, ParamError
 from .galois import GF
-from .mdscodec import (Matrix, ProductMatrixMsr, generator_min_distance, mat_rank,
+from .mdscodec import (Matrix, ProductMatrixMsr, first_deficient, generator_min_distance,
                        rs_create, vec_mat)
 from .topology import ClusterTopology, NodeId, contact_sets, node_flat
 
@@ -82,10 +82,13 @@ def _nondiv_generator(top: ClusterTopology, gf: GF, points: tuple[int, ...],
 
 def _nondiv_candidates(gf: GF, big_t: int, draws: int = 2048):
     """Deterministic (points, weights) sequence: consecutive windows with unit
-    parity weights first, then seeded random draws of both. Windows with unit
+    parity weights first, then seeded random draws of both. nondiv_search
+    takes the first candidate that passes, so this order fixes the
+    eval_points and parity_weights every placement records. Windows with unit
     weights can fail structurally: in characteristic 2 an even-size group sums
     its constant coordinates to zero, and a cross-cluster pair summing to a
-    cluster's point sum makes a k-subset singular for every window."""
+    cluster's point sum makes a k-subset singular for every window; over
+    GF(2^16) the order - 1 windows all come before the first draw."""
     size = gf.order - 1
     ones = (1,) * big_t
     for shift in range(size):
@@ -97,14 +100,29 @@ def _nondiv_candidates(gf: GF, big_t: int, draws: int = 2048):
 
 
 def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
-    """The first candidate points and weights under which every contact set
-    has full rank, and the code's minimum distance where it is cheap."""
+    """The first candidate points and weights (_nondiv_candidates) under which
+    every contact set has full rank, and the code's minimum distance where it
+    is cheap.
+
+    A candidate is checked first on the contact sets that rejected earlier
+    candidates, the latest rejecter first, and only then on every contact set,
+    by one prefix walk (first_deficient). It passes only if every set has
+    full rank, so the order of the checks cannot change which candidate is
+    chosen."""
     big_t, k_dim = _nondiv_dims(top)
+    sets = contact_sets(top)
+    rejecters: list[tuple[int, ...]] = []
     for points, weights in _nondiv_candidates(gf, big_t):
         gen = _nondiv_generator(top, gf, points, weights)
-        if all(mat_rank(gf, gen.take_columns(list(sub))) == k_dim
-               for sub in contact_sets(top)):
-            break
+        columns = [[gen.column(u)] for u in range(top.n)]
+        bad = first_deficient(gf, columns, rejecters, k_dim)
+        if bad is not None:
+            rejecters.remove(bad)
+        else:
+            bad = first_deficient(gf, columns, sets, k_dim)
+            if bad is None:
+                break
+        rejecters.insert(0, bad)
     else:
         raise ParamError("no evaluation-point choice yields the full-distance code")
     found = {"eval_points": list(points), "parity_weights": list(weights)}

@@ -9,10 +9,11 @@ from clustercodes import mdscodec
 from clustercodes.errors import (InconsistentSharesError, InsufficientDataError,
                                  ParamError)
 from clustercodes.galois import field_create
-from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables, from_stripes,
-                                   generator_min_distance, mat_mul, mat_rank,
-                                   mat_solve, rs_create, rs_decode, rs_encode,
-                                   to_stripes, vec_mat)
+from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables, first_deficient,
+                                   from_stripes, generator_min_distance, mat_mul,
+                                   mat_rank, mat_solve, rs_create, rs_decode,
+                                   rs_encode, to_stripes, vec_mat)
+from clustercodes.topology import ClusterTopology, contact_sets
 
 from oracles import det
 
@@ -82,15 +83,17 @@ def test_encode_length_checks():
 
 
 FORMS = {"symbols": [1, 2, 3], "lists": [[1], [2], [3]],
-         "matrix": Matrix(3, 1, [[1], [2], [3]])}
+         "matrix": Matrix(3, 1, [[1], [2], [3]]),
+         "bytes-then-symbol": [b"\x01", 5, b"\x02"],
+         "bytes-then-list": [b"\x01", [1], b"\x02"]}
 
 
-def _takes(name, block):
-    code = rs_create(5, 3, GF8)
-    return {"mat_solve": lambda: mat_solve(GF8, Matrix.identity(3), block),
+def _takes(name, block, gf=GF8):
+    code = rs_create(5, 3, gf)
+    return {"mat_solve": lambda: mat_solve(gf, Matrix.identity(3), block),
             "rs_encode": lambda: rs_encode(code, block),
             "rs_decode": lambda: rs_decode(code, list(zip((1, 2, 3), block))),
-            "LinearMap.stripes": lambda: LinearMap(GF8, code.generator).stripes(block)}[name]
+            "LinearMap.stripes": lambda: LinearMap(gf, code.generator).stripes(block)}[name]
 
 
 @pytest.mark.parametrize("name, form", [
@@ -102,6 +105,15 @@ def test_only_stripes_are_taken(name, form):
     TypeError from inside the kernel."""
     with pytest.raises(ParamError, match="stripes"):
         _takes(name, FORMS[form])()
+
+
+@pytest.mark.parametrize("name", ["mat_solve", "rs_encode", "rs_decode", "LinearMap.stripes"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_stripes_hold_whole_symbols(name, length):
+    """Over GF(2^16) a symbol is two bytes, so a stripe of an odd length is
+    refused, not read as zero instances."""
+    with pytest.raises(ParamError, match="stripes"):
+        _takes(name, [b"\x01" * length] * 3, GF16)()
 
 
 def test_repetition_like_single_symbol():
@@ -441,3 +453,69 @@ def test_byte_tables_are_products(gf):
                 for p in range(w):
                     got ^= tables[p * w + q][planes[p]] << 8 * q
             assert got == gf.mul(c, x), (c, x)
+
+
+# ------------------------------------ contact-set certificate: first_deficient
+
+def _scan(gf, columns, sets, rank):
+    """The reference: one mat_rank elimination per set, in order."""
+    for sub in sets:
+        cols = [col for u in sub for col in columns[u]]
+        if mat_rank(gf, Matrix(len(cols[0]), len(cols), [list(r) for r in zip(*cols)])) < rank:
+            return sub
+    return None
+
+
+BROKEN = ("zeroed column", "repeated point", "copied column")
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@pytest.mark.parametrize("regime", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("make", ["random", "vandermonde", *BROKEN])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_first_deficient_equals_rank_scan(gf, regime, make, data):
+    """The prefix walk finds the same first deficient contact set as a fresh
+    elimination per set, or None exactly when the scan finds none, for
+    node groups of one or two columns. A Vandermonde generator with as many
+    rows as a contact set has columns is full rank on every set; each
+    broken one is not, and the walk must say so."""
+    draw = data.draw
+    n_i, big_l, alpha = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    top = ClusterTopology(n_i * big_l, draw(st.integers(1, n_i * big_l)), big_l)
+    n_sym = top.n * alpha
+    if make == "random":
+        rows = draw(st.integers(1, top.k * alpha))
+        cols = [[draw(st.sampled_from([0, 1, gf.order - 1, 7])) if draw(st.booleans())
+                 else draw(st.integers(0, gf.order - 1)) for _ in range(rows)]
+                for _ in range(n_sym)]
+    else:
+        rows = top.k * alpha
+        points = draw(st.lists(st.integers(1, gf.order - 1), min_size=n_sym,
+                               max_size=n_sym, unique=True))
+        i, j = draw(st.lists(st.integers(0, n_sym - 1), min_size=2, max_size=2, unique=True)
+                    if n_sym > 1 else st.just([0, 0]))
+        if make == "repeated point":
+            points[j] = points[i]
+        cols = [[gf.pow(x, e) for e in range(rows)] for x in points]
+        if make == "zeroed column":
+            cols[j] = [0] * rows
+        elif make == "copied column":
+            cols[j] = list(cols[i])
+    columns = [cols[u * alpha:(u + 1) * alpha] for u in range(top.n)]
+    if regime == "exhaustive":
+        sets = contact_sets(top)
+    else:
+        sets = contact_sets(top, limit=0, samples=draw(st.integers(1, 12)),
+                            seed=draw(st.integers(0, 99)))
+    got = first_deficient(gf, columns, sets, rows)
+    assert got == _scan(gf, columns, sets, rows)
+    # any rank target, and sets in any order
+    rank, shuffled = draw(st.integers(0, rows)), list(sets)
+    Random(draw(st.integers(0, 99))).shuffle(shuffled)
+    assert first_deficient(gf, columns, shuffled, rank) == _scan(gf, columns, shuffled, rank)
+    if make == "vandermonde":
+        assert got is None
+    elif make != "random" and regime == "exhaustive" and (
+            make == "zeroed column" or i != j and (i // alpha == j // alpha or top.k > 1)):
+        assert got is not None, make  # some contact set holds both columns i and j

@@ -7,8 +7,8 @@ import pytest
 
 from clustercodes.codes import build, generator, reconstruct, repair
 from clustercodes.errors import (InsufficientDataError, ParamError, RegimeError)
-from clustercodes.galois import field_create
-from clustercodes.msr import ProductMatrixMsr, rot_group
+from clustercodes.galois import GF, field_create
+from clustercodes.msr import ProductMatrixMsr, nondiv_search, rot_group
 from clustercodes.topology import ClusterTopology, NodeId, node_flat
 
 from oracles import (pm_encode, pm_reconstruct, pm_regenerate, pm_repair_symbol, rank,
@@ -214,6 +214,45 @@ class TestNonDivisible:
         p = self.build(7)
         with pytest.raises(InsufficientDataError):
             reconstruct_msr_nondiv(p, self.top.cluster(1))  # 3 < k = 4
+
+
+# The points, weights and d that nondiv_search records, which every placement
+# of these shapes carries: the first passing consecutive window with unit
+# weights, a random draw (every (10,3,2) window fails) or, for C(n,k) > 10,000,
+# a window checked on the sampled contact sets; d only for n <= 12.
+SEARCHED = {
+    (6, 4, 2): ([1, 2, 3, 4], [1] * 4, 3),
+    (12, 7, 4): ([251, 252, 253, 254, 255, 1, 2, 3], [1] * 8, 6),
+    (10, 3, 2): ([217, 99, 195, 228, 108, 11, 67, 248],
+                 [131, 125, 104, 236, 201, 213, 78, 248], 8),
+    (16, 7, 4): (list(range(1, 13)), [1] * 12, None),
+    (15, 8, 5): (list(range(3, 13)), [1] * 10, None),
+}
+
+
+@pytest.mark.parametrize("shape", SEARCHED, ids=["-".join(map(str, t)) for t in SEARCHED])
+def test_nondiv_search_chooses_the_recorded_points(shape):
+    points, weights, d = SEARCHED[shape]
+    found = nondiv_search(ClusterTopology(*shape), GF8)
+    assert found == {"eval_points": points, "parity_weights": weights,
+                     **({} if d is None else {"d": d})}
+
+
+def test_nondiv_search_work_is_bounded(monkeypatch):
+    """A count, not a wall time: the (12,7,4) search, d included, inverts at
+    most 30,000 field elements (a fresh elimination per contact set and
+    candidate took 282,759)."""
+    calls = 0
+    inv = GF.inv
+
+    def counted(self, a):
+        nonlocal calls
+        calls += 1
+        return inv(self, a)
+
+    monkeypatch.setattr(GF, "inv", counted)
+    nondiv_search(ClusterTopology(12, 7, 4), GF8)
+    assert calls <= 30_000
 
 
 class TestStacked:
