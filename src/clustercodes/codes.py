@@ -245,23 +245,43 @@ def _matrix(stripes: list[bytes], m_size: int, gf: GF) -> Matrix:
     return Matrix(m_size, n, [list(values[i * n:(i + 1) * n]) for i in range(m_size)])
 
 
+def _instance_count(source: list[int], m_size: int, gf: GF) -> int:
+    """s, for a source of s >= 1 instances of M field elements; anything else
+    is a ParamError."""
+    if not source or len(source) % m_size:
+        raise ParamError(f"source length {len(source)} is not a positive multiple of M={m_size}")
+    if min(source) < 0 or max(source) >= gf.order:
+        raise ParamError(f"source holds a value outside GF(2^{gf.m})")
+    return len(source) // m_size
+
+
+def _stored(con: Construction, gf: GF, source: list[int], s: int) -> dict[NodeId, Holding]:
+    """Per node, its holding of the encode of source's s instances."""
+    word = _word(con, gf, to_stripes(source, con.params["M"], gf.width))
+    return {node: Holding(idxs, tuple(word[i] for i in idxs), s, con.params["theta"], gf.width)
+            for node, idxs in con.layout.items()}
+
+
 def build(kind: str, top: ClusterTopology, source: list[int], gf: GF,
           chi: int | None = None, epsilon: Fraction | None = None) -> Placement:
     """Encode source, s = len(source)/M instances of M symbols each."""
     params = declared_params(kind, top, chi, epsilon)
-    if not source or len(source) % params["M"]:
-        raise ParamError(
-            f"source length {len(source)} is not a positive multiple of M={params['M']}")
-    if min(source) < 0 or max(source) >= gf.order:
-        raise ParamError(f"source holds a value outside GF(2^{gf.m})")
+    s = _instance_count(source, params["M"], gf)
     params |= TABLE[kind].search(top, gf)
     con = construction(kind, top, gf, params)
-    s = len(source) // params["M"]
     params |= {"epsilon": str(params["epsilon"]), "s": s}
-    word = _word(con, gf, to_stripes(source, params["M"], gf.width))
-    holdings = {node: Holding(idxs, tuple(word[i] for i in idxs), s, params["theta"], gf.width)
-                for node, idxs in con.layout.items()}
-    return Placement(kind, top, gf, params, holdings)
+    return Placement(kind, top, gf, params, _stored(con, gf, source, s))
+
+
+def encode(p: Placement, source: list[int]) -> dict[NodeId, Holding]:
+    """Per node, the holding that encoding source under p's construction
+    gives: what a build of source stores, without the build's search. A
+    source other than p's s instances of M field elements is a ParamError."""
+    con, s = _engine(p, [])
+    if _instance_count(source, con.params["M"], p.gf) != s:
+        raise ParamError(f"source of {len(source)} symbols is not the placement's "
+                         f"s={s} instances of M={con.params['M']}")
+    return _stored(con, p.gf, source, s)
 
 
 def generator(p: Placement) -> Matrix:
@@ -285,7 +305,8 @@ def _engine(p: Placement, nodes: list[NodeId]) -> tuple[Construction, int]:
 def _content(p: Placement, con: Construction, nodes: list[NodeId],
              s: int) -> list[tuple[bytes, ...]]:
     """Per node, its stripes in layout order. A Holding of the node's layout,
-    s and theta is checked by its stripe lengths alone; anything else goes
+    s and theta is checked by its stripes' types and lengths alone (so the
+    engine maps them with LinearMap.apply, unchecked); anything else goes
     through holding_from_pairs, which checks that it holds exactly those
     symbols, with values in the field."""
     theta, w = con.params["theta"], p.gf.width
@@ -436,7 +457,7 @@ def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
     rp = _plan(con, p.gf, failed)
     theta, w = con.params["theta"], p.gf.width
     pool = [x for stripes in _content(p, con, rp.senders, s) for x in stripes]
-    pool += rp.mix.stripes([pool[e] for e in rp.mix_in]) if rp.mix_in else []
+    pool += rp.mix.apply([pool[e] for e in rp.mix_in], s) if rp.mix_in else []
     contributions = {h: Holding(idxs, tuple([pool[e] for e in entries]), s, theta, w)
                      for h, (idxs, entries) in rp.wire.items()}
     transcript = RepairTranscript(failed, contributions, s * con.params["beta_i"],
@@ -463,7 +484,7 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
                 raise FormatError(f"{helper} sent a value outside GF(2^{p.gf.m})")
             stripes = to_stripes(vals, width, w)
         received += [stripes[f] for f in firsts]
-    return Holding(con.layout[transcript.failed], tuple(rp.solve.stripes(received)), s,
+    return Holding(con.layout[transcript.failed], tuple(rp.solve.apply(received, s)), s,
                    con.params["theta"], w)
 
 
@@ -494,7 +515,7 @@ def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
         shares = [(c, x) for c, i in enumerate(comp.idx) for x in held.get(i, ())]
         if all(msg[comp.msg]):
             lin = _check(con, p.gf, n, tuple(c for c, _ in shares))
-            if lin.stripes(msg[comp.msg]) != [x for _, x in shares]:
+            if lin.apply(msg[comp.msg], s) != [x for _, x in shares]:
                 raise InconsistentSharesError("contacted symbols disagree with the decoded source")
             continue
         if comp.rs:

@@ -91,15 +91,21 @@ class GF:
                 for b in basis[8:]:
                     high += [y ^ b for y in high]
             exp = [0] * size
-            log = [0] * order
             x = 1
             for i in range(size):
                 if x == 1 and i > 0:
                     break  # g has smaller multiplicative order
                 exp[i] = x
-                log[x] = i
                 x = low[x & 255] ^ high[x >> 8]
             else:
+                # log points into exp's int objects, one per field element,
+                # which halves the tables' memory over GF(2^16)
+                by_value = [0] * order
+                for v in exp:
+                    by_value[v] = v
+                log = [0] * order
+                for i, v in enumerate(exp):
+                    log[v] = by_value[i]
                 exp *= 2  # twice over, so mul can skip the mod in the hot path
                 return exp, log
         raise ParamError(f"no generator found for GF(2^{self.m})/{self.poly:#x}")

@@ -229,11 +229,16 @@ class LinearMap:
 
     def stripes(self, block: list[bytes]) -> list[bytes]:
         """The map on a block of stripes, one per source symbol."""
-        g, s = self.matrix, _instances(block, self.width)
-        if len(block) != g.rows:
+        s = _instances(block, self.width)
+        if len(block) != self.matrix.rows:
             raise ParamError(f"block of {len(block)} source symbols does not match "
-                             f"{g.rows} rows")
-        if 0 < s < g.cols:
+                             f"{self.matrix.rows} rows")
+        return self.apply(block, s)
+
+    def apply(self, block: list[bytes], s: int) -> list[bytes]:
+        """The map on a block already checked as stripes() checks it: one
+        stripe of s instances per row of G. Runs no check itself."""
+        if 0 < s < self.matrix.cols:
             return self._by_instance(block, s)
         return self._by_stripe(block, s)
 
@@ -419,7 +424,7 @@ def mat_solve(gf: GF, a: Matrix, rhs: list[bytes]) -> SolveResult:
         raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
     if s >= a.rows:
         rank, pivots, t = _eliminated(gf, tuple(map(tuple, a.data)), a.cols)
-        reduced = t.stripes(rhs)
+        reduced = t.apply(rhs, s)
     else:
         n, vals = len(rhs), from_stripes(rhs, w)
         aug, pivots = _row_reduce(gf, [row + list(vals[r::n]) for r, row in enumerate(a.data)],
@@ -536,12 +541,13 @@ def rs_decode(code: RsCode, shares: list[tuple[int, bytes]]) -> list[bytes]:
     message = mat_solve(code.gf, sub.transpose(), [seen[c] for c in base]).solution
     # unique: a Vandermonde submatrix is invertible
     if surplus:
-        if len(message[0]) // w < code.n_out:  # instance by instance: the code's own map
-            word = code.map.stripes(message)
+        s = len(message[0]) // w  # mat_solve has checked the shares it solved
+        if s < code.n_out:  # instance by instance: the code's own map
+            word = code.map.apply(message, s)
             predicted = [word[c - 1] for c in surplus]
         else:  # by stripe: a map of the surplus columns alone
             cols = code.generator.take_columns([c - 1 for c in surplus])
-            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data))).stripes(message)
+            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data))).apply(message, s)
         for c, stripe in zip(surplus, predicted):
             if stripe != seen[c]:
                 raise InconsistentSharesError(

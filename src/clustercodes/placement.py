@@ -43,8 +43,12 @@ class Holding(Sequence):
         self.idxs, self.stripes, self.s, self.theta, self.width = idxs, stripes, s, theta, width
 
     def fits(self, s: int, width: int) -> bool:
-        """Whether every stripe holds s symbols of `width` bytes."""
-        return self.s == s and self.width == width and set(map(len, self.stripes)) <= {s * width}
+        """Whether every stripe is bytes holding s symbols of `width` bytes."""
+        try:
+            lengths = set(map(bytes.__len__, self.stripes))
+        except TypeError:  # a stripe of another type
+            return False
+        return self.s == s and self.width == width and lengths <= {s * width}
 
     def indices(self) -> list[int | None]:
         """The pairs' global indices, in order."""

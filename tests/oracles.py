@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from math import comb
 
+from clustercodes import codes
 from clustercodes.capacity import mbr_theta_pos
-from clustercodes.errors import ParamError
+from clustercodes.errors import ClusterCodeError, ParamError
+from clustercodes.harness import CheckResult
 from clustercodes.mdscodec import Matrix, ProductMatrixMsr, from_stripes, mat_solve, to_stripes
-from clustercodes.topology import node_flat
+from clustercodes.topology import contact_sets, node_flat, node_pair
 
 
 def gf2_mod(a: int, b: int) -> int:
@@ -82,6 +84,26 @@ def solve(gf, a: Matrix, b: list[int]) -> list[int]:
     res = mat_solve(gf, a, to_stripes(b, len(b), gf.width))
     assert res.unique, "the system does not pin x"
     return list(from_stripes(res.solution, gf.width))
+
+
+def decode_every_set(p, source: list[int], limit: int = 10_000, samples: int = 1_000,
+                     seed: int = 0) -> CheckResult:
+    """The reconstruction check by decoding: every contact set that
+    harness.verify_reconstruction walks goes through codes.reconstruct, and
+    the first that raises or decodes other than source is the
+    counterexample."""
+    top = p.topology
+    for subset in contact_sets(top, limit, samples, seed):
+        nodes = [node_pair(u + 1, top) for u in subset]
+        contact = [f"{x.l},{x.j}" for x in nodes]
+        try:
+            recovered = codes.reconstruct(p, nodes)
+        except ClusterCodeError as e:
+            return CheckResult("reconstruction", False, {"contact": contact, "reason": str(e)})
+        if recovered != source:
+            return CheckResult("reconstruction", False,
+                               {"contact": contact, "reason": "decoded source differs"})
+    return CheckResult("reconstruction", True)
 
 
 def majorizes(a, b) -> bool:

@@ -54,9 +54,10 @@ def test_criterion_1_mbr_zero_reference_system(capsys):
     assert comb(12, 6) == 924
     recon_check = verify_reconstruction(p, src)  # exhaustive: C(12,6) <= 10^4
     assert recon_check.passed, recon_check.counterexample
+    assert recon_check.coverage["sets"] == 924 and recon_check.coverage["exhaustive"]
     with capsys.disabled():
         announce(1, "n=12,k=6,L=3 bandwidth code: theta=18, M=11, alpha=gamma=3, "
-                    "12/12 exact repairs, 924/924 reconstructions, "
+                    "12/12 exact repairs, 924/924 reconstructions certified, "
                     "N(2,3)={c8,c10,c12}")
 
 
@@ -183,11 +184,12 @@ def test_criterion_7_wrapped_base_code(capsys):
         assert comb(9, 5) == 126
         recon_check = verify_reconstruction(p, src)  # exhaustive, 126 subsets
         assert recon_check.passed, recon_check.counterexample
+        assert recon_check.coverage["sets"] == 126 and recon_check.coverage["exhaustive"]
     assert deduped[0] == deduped[1] == deduped[2]  # duplication-free invariance
     with capsys.disabled():
         announce(7, "n=9,k=5,L=3 wrapped product-matrix base: alpha=4, M=20, "
                     "9/9 repairs per eps with gamma in {14,10,8}, 126/126 "
-                    "reconstructions per eps, dedup-invariant transcripts")
+                    "reconstructions certified per eps, dedup-invariant transcripts")
 
 
 def test_criterion_8_counting_bounds(capsys):

@@ -148,8 +148,10 @@ def _clmul_walk(m, poly):
                                      (12, 0x1053)])
 def test_tables_equal_the_clmul_walk(m, poly):
     """The default polynomials, and 0x11B, irreducible but not primitive: x
-    has order 51, so the walk must move on to another generator."""
+    has order 51, so the walk must move on to another generator. Both tables
+    hold one int object per field element between them."""
     gf = GF(m, poly)
     assert (gf.exp, gf.log) == _clmul_walk(m, poly)
+    assert len(set(map(id, gf.exp + gf.log))) <= gf.order
     if poly == 0x11B:
         assert gf.exp[1] != 2

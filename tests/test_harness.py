@@ -1,18 +1,23 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from clustercodes import codes
 from clustercodes.codes import build, declared_params, parse_config
+from clustercodes.construction import Construction
 from clustercodes.errors import FormatError
 from clustercodes.galois import field_create
-from clustercodes.harness import (acceptance_systems, closed_form_count,
+from clustercodes.harness import (DECODE_SAMPLE, acceptance_systems, closed_form_count,
                                   count_distinct, identity_checks, params_match,
                                   random_source, report_to_obj, run_suite,
                                   run_system, verify_counting,
                                   verify_exact_repair, verify_reconstruction,
                                   verify_structure)
-from clustercodes.topology import ClusterTopology, NodeId, contact_vectors
+from clustercodes.mdscodec import Matrix, first_deficient
+from clustercodes.topology import ClusterTopology, NodeId, contact_sets, contact_vectors
+
+from oracles import decode_every_set
 
 GF8 = field_create(8)
 
@@ -68,15 +73,156 @@ def test_exact_repair_detects_corruption_on_decode_paths():
 
 def test_reconstruction_exhaustive():
     p, src = build_fig4(3)
-    assert verify_reconstruction(p, src).passed
-    assert not verify_reconstruction(p, src[:-1] + [src[-1] ^ 1]).passed
+    result = verify_reconstruction(p, src)
+    assert result.passed
+    assert result.coverage == {"sets": 924, "exhaustive": True, "decoded": DECODE_SAMPLE}
+    # a wrong source is not what the nodes store, and the first node says so
+    wrong = verify_reconstruction(p, src[:-1] + [src[-1] ^ 1])
+    assert not wrong.passed
+    assert wrong.counterexample["node"] == "1,1"
+    short = verify_reconstruction(p, src[:-1])
+    assert not short.passed and "source" in short.counterexample["reason"]
 
 
 def test_reconstruction_sampled_path():
     top = ClusterTopology(16, 8, 4)  # C(16,8) = 12870 > threshold
     src = random_source(GF8, 12, 4)
     p = build("mbr0", top, src, GF8)
-    assert verify_reconstruction(p, src, samples=60, seed=9).passed
+    result = verify_reconstruction(p, src, samples=60, seed=9)
+    assert result.passed
+    assert result.coverage == {"sets": len(contact_sets(top, samples=60, seed=9)),
+                               "exhaustive": False, "decoded": DECODE_SAMPLE}
+
+
+ORACLE_SYSTEMS = [
+    {"n": 12, "k": 6, "L": 3, "code": "mbr0"},
+    {"n": 6, "k": 3, "L": 2, "code": "mbr", "chi": 3},
+    {"n": 6, "k": 3, "L": 2, "code": "msr0-div"},
+    {"n": 6, "k": 4, "L": 2, "code": "msr0-nondiv"},
+    {"n": 6, "k": 2, "L": 3, "code": "msr-stacked"},
+    {"n": 9, "k": 5, "L": 3, "code": "msr-wrapped", "epsilon": "1/2"},
+]
+
+
+def _built(raw, seed=21):
+    config = parse_config(raw)
+    top, kind = config["topology"], config["kind"]
+    m_size = declared_params(kind, top, config["chi"], config["epsilon"])["M"]
+    src = random_source(GF8, m_size, seed)
+    return build(kind, top, src, GF8, config["chi"], config["epsilon"]), src
+
+
+@pytest.mark.parametrize("raw", ORACLE_SYSTEMS, ids=lambda raw: raw["code"])
+def test_certificate_agrees_with_decoding_every_set(raw):
+    """The certificate's verdict and counterexample are those of decoding
+    every contact set."""
+    p, src = _built(raw)
+    result, oracle = verify_reconstruction(p, src), decode_every_set(p, src)
+    assert (result.passed, result.counterexample) == (oracle.passed, oracle.counterexample)
+    assert result.passed
+
+
+def _mutate(monkeypatch, edit):
+    """Make every construction a copy whose components edit(components, gf)
+    gives: builds, reconstructs and the certificate all see the same code,
+    one object per construction so that the engine's caches still hold."""
+    real, made = codes.construction, {}
+
+    def construction(kind, top, gf, params):
+        con = real(kind, top, gf, params)
+        if con not in made:
+            made[con] = Construction(con.params, con.layout, edit(con.components, gf),
+                                     con.repair_plan)
+        return made[con]
+
+    monkeypatch.setattr(codes, "construction", construction)
+
+
+def _set_column(comp, c, values):
+    """comp with column c of its generator (its Reed-Solomon code's too)
+    replaced by values."""
+    rows = [list(row) for row in comp.generator.data]
+    for row, v in zip(rows, values):
+        row[c] = v
+    gen = Matrix(comp.generator.rows, comp.generator.cols, rows)
+    return replace(comp, generator=gen, rs=comp.rs and replace(comp.rs, generator=gen))
+
+
+def _rank_mutation_fails(p, src, contact):
+    """The certificate fails on contact, as decoding every set does."""
+    result, oracle = verify_reconstruction(p, src), decode_every_set(p, src)
+    assert not result.passed and not oracle.passed
+    assert result.counterexample["contact"] == oracle.counterexample["contact"] == contact
+    assert "span fewer" in result.counterexample["reason"]
+    assert result.coverage["decoded"] == 0
+
+
+def test_certificate_fails_on_zeroed_column(monkeypatch):
+    """mbr0 (12,6,3): a zeroed column leaves 10 dimensions to the 11 symbols
+    of the first contact set, at omega* = (4,2,0)."""
+    _mutate(monkeypatch, lambda comps, gf: (_set_column(comps[0], 0, [0] * 11),))
+    p, src = build_fig4(3)
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3", "1,4", "2,1", "2,2"])
+
+
+def test_certificate_fails_on_copied_column(monkeypatch):
+    """msr-stacked (6,2,3): node 2 stores, in the first codeword, a copy of
+    node 1's column, so nodes 1 and 2 do not pin that codeword's message."""
+    _mutate(monkeypatch, lambda comps, gf: (
+        _set_column(comps[0], 1, comps[0].generator.column(0)), *comps[1:]))
+    p, src = _built({"n": 6, "k": 2, "L": 3, "code": "msr-stacked"})
+    _rank_mutation_fails(p, src, ["1,1", "1,2"])
+
+
+def test_certificate_walks_each_decoded_component(monkeypatch):
+    """msr0-div (6,3,2): with slot 1's second column a copy of its first, the
+    slot code is deficient on nodes 1-3 while the whole generator, parity
+    included, keeps full rank there. reconstruct decodes slot 1 on its own,
+    so the certificate walks it on its own."""
+    _mutate(monkeypatch, lambda comps, gf: (
+        _set_column(comps[0], 1, comps[0].generator.column(0)), *comps[1:]))
+    p, src = _built({"n": 6, "k": 3, "L": 2, "code": "msr0-div"})
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3"])
+    g, con = codes.generator(p), codes.construction(p.kind, p.topology, p.gf, p.params)
+    whole = [[g.column(i - 1) for i in con.layout[node]] for node in p.topology.nodes()]
+    assert first_deficient(GF8, whole, [(0, 1, 2)], p.params["M"]) is None
+
+
+def test_certificate_names_a_flipped_node_outside_the_decode_sample(monkeypatch):
+    """A flipped stored symbol on a node that no sampled decode contacts is
+    found by comparing every node with the encode of the source."""
+    p, src = build_fig4(3)
+    contacted, real = set(), codes.reconstruct
+
+    def recording(placement, nodes):
+        contacted.update(nodes)
+        return real(placement, nodes)
+
+    monkeypatch.setattr(codes, "reconstruct", recording)
+    assert verify_reconstruction(p, src).passed
+    node = next(x for x in p.topology.nodes() if x not in contacted)
+    holding = list(p.holdings[node])
+    holding[0] = (holding[0][0], holding[0][1] ^ 1)
+    p.holdings[node] = holding
+    result = verify_reconstruction(p, src)
+    assert not result.passed
+    assert result.counterexample == {"node": f"{node.l},{node.j}",
+                                     "reason": "stored symbols differ from the encode "
+                                               "of the source"}
+
+
+def test_run_system_decodes_only_the_sample(monkeypatch):
+    """mbr0 (12,6,3) has 924 contact sets; run_system decodes at most
+    DECODE_SAMPLE of them."""
+    calls, real = [], codes.reconstruct
+
+    def counting(placement, nodes):
+        calls.append(nodes)
+        return real(placement, nodes)
+
+    monkeypatch.setattr(codes, "reconstruct", counting)
+    assert run_system(parse_config({"n": 12, "k": 6, "L": 3, "code": "mbr0"})).passed
+    assert 0 < len(calls) <= DECODE_SAMPLE
 
 
 def test_count_distinct_fig4():
@@ -140,7 +286,10 @@ def test_run_system_report_shape():
     assert report.passed
     obj = report_to_obj(report)
     assert set(obj) == {"system", "checks", "elapsed_ms"}
-    assert all(set(c) == {"name", "pass", "counterexample"} for c in obj["checks"])
+    assert all(set(c) == {"name", "pass", "counterexample"}
+               for c in obj["checks"] if c["name"] != "reconstruction")
+    recon = next(c for c in obj["checks"] if c["name"] == "reconstruction")
+    assert recon["coverage"] == {"sets": 20, "exhaustive": True, "decoded": DECODE_SAMPLE}
     names = [c["name"] for c in obj["checks"]]
     assert names == ["params-match", "structure", "exact-repair",
                      "reconstruction", "counting"]

@@ -109,6 +109,10 @@ def test_plain_lists_pass_the_one_boundary(kind, shape, ratio, gf, s):
     baseline = _outcomes(p, node)
     p.holdings[node] = list(original)
     assert _outcomes(p, node) == baseline
+    # stripes of another type than bytes are read as the pairs they stand for
+    p.holdings[node] = Holding(original.idxs, tuple(map(bytearray, original.stripes)), s,
+                               original.theta, original.width)
+    assert _outcomes(p, node) == baseline
 
     flipped = list(original)
     idx, val = flipped[-1]
