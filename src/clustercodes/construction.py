@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .mdscodec import Matrix, RsCode
+from .mdscodec import Matrix, ProductMatrixMsr, RsCode
 from .topology import NodeId
 
 # A helper sends a stored symbol (its index), or a linear combination of its
@@ -29,11 +29,14 @@ class Component:
     is stored as symbol idx[c]. RS components encode and decode through the
     Reed-Solomon codec, the others through `generator` and elimination; a
     component whose slice earlier components cover is redundant, and a
-    reconstruct checks it instead of decoding it."""
+    reconstruct checks it instead of decoding it. `rs` and `pm` record the
+    classical code a component is, which is what certifies its any-k
+    reconstruction (harness.verify_reconstruction)."""
     generator: Matrix
     msg: slice
     idx: tuple[int, ...]
     rs: RsCode | None = None
+    pm: ProductMatrixMsr | None = None  # its base: flat node u holds base node u's rows
 
 
 @dataclass(frozen=True, eq=False)

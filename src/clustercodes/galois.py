@@ -163,14 +163,20 @@ class GF:
         return [x ^ exp[lc + log[y]] if y else x for x, y in zip(acc, row)]
 
 
-@lru_cache(maxsize=None)
 def field_create(m: int, poly: int | None = None) -> GF:
-    """Build (and cache) a field handle; poly defaults per extension degree."""
+    """A cached field handle; poly defaults per extension degree. The default
+    is resolved before the cache, so that naming it gives the same handle and
+    tables as leaving it out."""
     if poly is None:
         try:
             poly = DEFAULT_POLY[m]
         except KeyError:
             raise ParamError(f"no default polynomial for m={m}; pass one explicitly")
+    return _field(m, poly)
+
+
+@lru_cache(maxsize=None)
+def _field(m: int, poly: int) -> GF:
     return GF(m, poly)
 
 

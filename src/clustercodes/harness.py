@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from random import Random
 from typing import Any
 
 from . import codes
 from .capacity import capacity_eval, derive, mbr_filesize_pos, mbr_filesize_zero
-from .errors import ClusterCodeError, FormatError
-from .mdscodec import first_deficient
+from .construction import Component
+from .errors import ClusterCodeError, FormatError, ParamError
+from .galois import GF
+from .mdscodec import first_deficient, rs_create
 from .placement import Placement
 from .topology import (ClusterTopology, NodeId, contact_sets, contact_vectors,
                        node_pair, nodes_realizing, omega_star)
@@ -89,31 +92,131 @@ def verify_exact_repair(p: Placement, node: NodeId | None = None) -> CheckResult
     return CheckResult(name, True)
 
 
+def _rs_certified(comp: Component, gf: GF, rank: int) -> bool:
+    """comp is the Reed-Solomon code that comp.rs records, on its `rank`
+    source symbols: its generator is the Vandermonde matrix, or its
+    systematic form, of distinct nonzero evaluation points. Then any k_in
+    distinct coordinates decode it."""
+    code = comp.rs
+    try:
+        want = rs_create(code.n_out, code.k_in, gf, code.systematic, code.eval_points)
+    except ParamError:
+        return False
+    return (code.k_in == rank and len(comp.idx) == code.n_out
+            and comp.generator == code.generator == want.generator)
+
+
+def _pm_certified(comp: Component, gf: GF, rank: int, held: list[list[int]]) -> bool:
+    """comp is the product-matrix code that comp.pm records, on its `rank`
+    source symbols, with the node of flat index u holding base node u:
+    distinct nonzero x_u with distinct lambda_u = x_u^alpha, psi_u the
+    powers of x_u, and node u's columns (held[u]) its coeff rows. Then any
+    k nodes decode it (Rashmi, Shah and Kumar, IEEE Trans. IT 2011)."""
+    pm = comp.pm
+    xs = pm.xs
+    if (pm.gf != gf or pm.file_size != rank or not len(xs) == len(held) == pm.n
+            or not all(0 < x < gf.order for x in xs) or len(set(xs)) != len(xs)
+            or len({gf.pow(x, pm.alpha) for x in xs}) != len(xs)):
+        return False
+    return all(pm.psi[u] == [gf.pow(x, e) for e in range(2 * pm.alpha)]
+               and [comp.generator.column(c) for c in cs]
+               == [pm.coeff(u, a) for a in range(pm.alpha)]
+               for u, (x, cs) in enumerate(zip(xs, held)))
+
+
+def _short_set(masks: list[int], sets, need: int) -> tuple[int, ...] | None:
+    """The first of sets (tuples of node indices) whose nodes' masks hold
+    fewer than `need` bits between them, or None. As first_deficient does
+    with its bases, it keeps the union of every prefix of the current set,
+    so a set ORs only the nodes after the prefix it shares with the set
+    before it, and a prefix that already holds `need` bits closes every set
+    that extends it."""
+    unions = [0]  # unions[d]: the union of path's first d nodes
+    path: tuple[int, ...] = ()
+    for sub in sets:
+        depth, shared = 0, min(len(unions) - 1, len(sub))
+        while depth < shared and sub[depth] == path[depth]:
+            depth += 1
+        acc = unions[depth]
+        if acc.bit_count() >= need:
+            continue
+        del unions[depth + 1:]
+        for u in sub[depth:]:
+            acc |= masks[u]
+            unions.append(acc)
+        path = sub
+        if acc.bit_count() < need:
+            return sub
+    return None
+
+
+# How each decoded component is certified, strongest first. A Reed-Solomon
+# component (comp.rs) is MDS, so a contact set decodes it exactly when it
+# holds k_in of its coordinates: an "mds-count". A product-matrix component
+# (comp.pm) decodes from any k nodes: no per-set work. Any other component,
+# or one whose premise fails on its coefficients, gets a "rank-walk".
+METHODS = ("product-matrix", "mds-count", "rank-walk")
+
+# The count ORs about one node mask per k-subset, about 1 us a set. Up to
+# this many k-subsets it walks every one of them, which covers every
+# topology with n <= 20 (C(20,10) = 184,756); above it, the walked sample.
+COUNT_BUDGET = 200_000
+
+
 def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
                           samples: int = 1_000, seed: int = 0) -> CheckResult:
-    """Every walked k-subset of nodes decodes to source. The walk is
-    contact_sets(top, limit, samples, seed): every k-subset when C(n,k) <=
-    limit, else a seeded sample of them.
-
-    Certified on the code's coefficients, with no decode per set:
+    """Every k-subset of nodes decodes to source, certified on the code's
+    coefficients with no decode per set:
       (a) every node stores its part of the encode of source (codes.encode);
-      (b) in every walked set, the contacted columns of each component that
-          codes.reconstruct decodes span that component's source slice (one
-          first_deficient walk per component).
+      (b) in every k-subset, the contacted columns of each component that
+          codes.reconstruct decodes span that component's source slice.
     By (a) each decode solves a consistent system, and by (b) its solution is
     unique, so it is source; a component that reconstruct only checks against
-    the decoded source (msr0-div's parity) is consistent by (a). For a
-    Reed-Solomon component, full rank means k_in distinct coordinates, which
-    is what rs_decode needs. (c) DECODE_SAMPLE of the sets, drawn by seed, also
-    go through codes.reconstruct, so that the decoder itself runs.
+    the decoded source (msr0-div's parity) is consistent by (a).
+
+    (b) reads each component's structure (METHODS). A Reed-Solomon
+    component whose generator is the Vandermonde matrix of distinct nonzero
+    points (_rs_certified) spans its slice exactly where the set holds k_in
+    of its coordinates: one OR of node bitmasks per set, over every k-subset
+    up to COUNT_BUDGET of them. A product-matrix component whose xs, lambdas
+    and columns are the base's (_pm_certified) spans it on every k-subset.
+    Any other component gets one first_deficient walk over the walked sets,
+    contact_sets(top, limit, samples, seed): every k-subset when C(n,k) <=
+    limit, else a seeded sample of them. With a premise holding, the count's
+    first short set is the walk's first deficient set, so the counterexample
+    does not depend on the method. (c) DECODE_SAMPLE of the walked sets,
+    drawn by seed, also go through codes.reconstruct, so that the decoder
+    itself runs.
 
     A failure names the node (a) or the contact set (b, c). coverage holds
-    the number of sets walked, whether they are every k-subset, and the
-    number decoded."""
+    the weakest method used, the number of sets it covered, whether they are
+    every k-subset, and the number decoded."""
     top = p.topology
     sets = contact_sets(top, limit, samples, seed)
-    coverage = {"sets": len(sets), "exhaustive": comb(top.n, top.k) <= limit, "decoded": 0}
+    every = comb(top.n, top.k)
     nodes = [node_pair(u + 1, top) for u in range(top.n)]  # by flat index, as in sets
+    con = codes.construction(p.kind, top, p.gf, p.params)
+    certs = []  # per decoded component: (method, rank, component, per node its coordinates)
+    decoded: set[int] = set()
+    for comp in con.components:
+        rows = range(con.params["M"])[comp.msg]
+        if decoded.issuperset(rows):
+            continue  # reconstruct checks it against the source it decoded
+        decoded.update(rows)
+        held = [[c for c, i in enumerate(comp.idx) if i in con.layout[node]]
+                for node in nodes]
+        if comp.rs and _rs_certified(comp, p.gf, len(rows)):
+            method = "mds-count"
+        elif comp.pm and _pm_certified(comp, p.gf, len(rows), held):
+            method = "product-matrix"
+        else:
+            method = "rank-walk"
+        certs.append((method, len(rows), comp, held))
+    method = max((m for m, *_ in certs), key=METHODS.index)
+    whole = every <= limit or method == "product-matrix" or (
+        method == "mds-count" and every <= COUNT_BUDGET)
+    coverage = {"method": method, "sets": every if whole else len(sets),
+                "exhaustive": whole, "decoded": 0}
 
     def fail(subset: tuple[int, ...] = (), **payload) -> CheckResult:
         contact = {"contact": [_node_str(nodes[u]) for u in subset]} if subset else {}
@@ -127,18 +230,21 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
         if holding != p.holdings.get(node):
             return fail(node=_node_str(node),
                         reason="stored symbols differ from the encode of the source")
-    con = codes.construction(p.kind, top, p.gf, p.params)
-    decoded: set[int] = set()
-    for comp in con.components:
-        rows = range(con.params["M"])[comp.msg]
-        if decoded.issuperset(rows):
-            continue  # reconstruct checks it against the source it decoded
-        decoded.update(rows)
-        columns = [[comp.generator.column(c) for c, i in enumerate(comp.idx)
-                    if i in con.layout[node]] for node in nodes]
-        bad = first_deficient(p.gf, columns, sets, len(rows))
+    shorts = {}  # per (rank, node masks), its count: msr-stacked's words share one
+    for method, rank, comp, held in certs:
+        if method == "mds-count":
+            key = (rank, tuple(sum(1 << c for c in cs) for cs in held))
+            if key not in shorts:
+                walk = combinations(range(top.n), top.k) if every <= COUNT_BUDGET else sets
+                shorts[key] = _short_set(key[1], walk, rank)
+            bad = shorts[key]
+        elif method == "rank-walk":
+            bad = first_deficient(p.gf, [[comp.generator.column(c) for c in cs]
+                                         for cs in held], sets, rank)
+        else:
+            bad = None
         if bad is not None:
-            return fail(bad, reason=f"contacted symbols span fewer than the {len(rows)} "
+            return fail(bad, reason=f"contacted symbols span fewer than the {rank} "
                                     f"source symbols of a component")
     for subset in sorted(Random(seed).sample(sets, min(DECODE_SAMPLE, len(sets)))):
         coverage["decoded"] += 1

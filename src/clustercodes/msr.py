@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from random import Random
 
-from .capacity import derive
 from .construction import Component, Construction, RepairPlan
 from .errors import FormatError, ParamError
 from .galois import GF
@@ -62,16 +61,19 @@ def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:
 # ------------------------------------------------------------ non-divisible
 
 def _nondiv_dims(top: ClusterTopology) -> tuple[int, int]:
-    return top.L * (top.n_I - 1), top.k - derive(top).q
+    """The outer code's length and dimension, k - q for q = floor(k/n_I)."""
+    return top.L * (top.n_I - 1), top.k - top.k // top.n_I
 
 
 def _nondiv_generator(top: ClusterTopology, gf: GF, points: tuple[int, ...],
-                      weights: tuple[int, ...]) -> Matrix:
+                      weights: tuple[int, ...], systematic: bool = True) -> Matrix:
     """Overall generator: outer-code columns plus one weighted-parity column
     per cluster. weights holds the L*(n_I-1) parity coefficients, all nonzero,
-    so each group forms an (n_I, n_I-1) MDS code."""
+    so each group forms an (n_I, n_I-1) MDS code. The systematic generator is
+    B times the one on the plain Vandermonde outer code, for an invertible B,
+    so both give every set of columns the same rank."""
     big_t, k_dim = _nondiv_dims(top)
-    outer = rs_create(big_t, k_dim, gf, systematic=True, points=points).generator
+    outer = rs_create(big_t, k_dim, gf, systematic=systematic, points=points).generator
     g = top.n_I - 1
     cols: list[list[int]] = []
     for l in range(top.L):
@@ -108,12 +110,13 @@ def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
     candidates, the latest rejecter first, and only then on every contact set,
     by one prefix walk (first_deficient). It passes only if every set has
     full rank, so the order of the checks cannot change which candidate is
-    chosen."""
+    chosen. The checks run on the generator with the plain Vandermonde outer
+    code, which has the ranks of the systematic one without its inversion."""
     big_t, k_dim = _nondiv_dims(top)
     sets = contact_sets(top)
     rejecters: list[tuple[int, ...]] = []
     for points, weights in _nondiv_candidates(gf, big_t):
-        gen = _nondiv_generator(top, gf, points, weights)
+        gen = _nondiv_generator(top, gf, points, weights, systematic=False)
         columns = [[gen.column(u)] for u in range(top.n)]
         bad = first_deficient(gf, columns, rejecters, k_dim)
         if bad is not None:
@@ -127,7 +130,7 @@ def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
         raise ParamError("no evaluation-point choice yields the full-distance code")
     found = {"eval_points": list(points), "parity_weights": list(weights)}
     if top.n <= 12:
-        found["d"] = generator_min_distance(gf, gen)
+        found["d"] = generator_min_distance(gf, _nondiv_generator(top, gf, points, weights))
     return found
 
 
@@ -198,5 +201,5 @@ def wrapped(top: ClusterTopology, gf: GF, params: dict) -> Construction:
         return {h: [(send, chi if h.l == failed.l else 1)] for h in top.nodes() if h != failed}
 
     whole = Component(Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]),
-                      slice(0, base.file_size), tuple(range(1, len(rows) + 1)))
+                      slice(0, base.file_size), tuple(range(1, len(rows) + 1)), pm=base)
     return Construction(params, layout, (whole,), plan)

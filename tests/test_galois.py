@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercodes.errors import ParamError
-from clustercodes.galois import GF, clmul_reduce, field_create, find_factor, poly_mod
+from clustercodes.galois import (DEFAULT_POLY, GF, clmul_reduce, field_create, find_factor,
+                                 poly_mod)
 
 from oracles import gf2_factors, ref_mul
 
@@ -111,6 +112,9 @@ def test_div_inverts_mul():
 def test_field_create_cached_and_equal():
     assert field_create(8) is field_create(8)
     assert field_create(8) == GF(8, 0x11D)
+    # the default polynomial, named or not, gives one handle and one table set
+    for m, poly in DEFAULT_POLY.items():
+        assert field_create(m) is field_create(m, poly)
 
 
 @pytest.mark.parametrize("m", [8, 16])

@@ -1,9 +1,10 @@
+from copy import copy
 from dataclasses import replace
 from math import comb
 
 import pytest
 
-from clustercodes import codes
+from clustercodes import codes, harness
 from clustercodes.codes import build, declared_params, parse_config
 from clustercodes.construction import Construction
 from clustercodes.errors import FormatError
@@ -18,6 +19,7 @@ from clustercodes.mdscodec import Matrix, first_deficient
 from clustercodes.topology import ClusterTopology, NodeId, contact_sets, contact_vectors
 
 from oracles import decode_every_set
+from sweep import domain_configs, sweep
 
 GF8 = field_create(8)
 
@@ -75,7 +77,8 @@ def test_reconstruction_exhaustive():
     p, src = build_fig4(3)
     result = verify_reconstruction(p, src)
     assert result.passed
-    assert result.coverage == {"sets": 924, "exhaustive": True, "decoded": DECODE_SAMPLE}
+    assert result.coverage == {"method": "mds-count", "sets": 924, "exhaustive": True,
+                               "decoded": DECODE_SAMPLE}
     # a wrong source is not what the nodes store, and the first node says so
     wrong = verify_reconstruction(p, src[:-1] + [src[-1] ^ 1])
     assert not wrong.passed
@@ -84,13 +87,23 @@ def test_reconstruction_exhaustive():
     assert not short.passed and "source" in short.counterexample["reason"]
 
 
-def test_reconstruction_sampled_path():
-    top = ClusterTopology(16, 8, 4)  # C(16,8) = 12870 > threshold
+def test_reconstruction_sampled_path(monkeypatch):
+    """mbr0 (16,8,4): C(16,8) = 12,870 is past the walk limit, so the walked
+    sets, which the decode sample draws from, are a seeded sample. The
+    coverage count still takes every k-subset up to COUNT_BUDGET, and the
+    sample above it."""
+    top = ClusterTopology(16, 8, 4)
     src = random_source(GF8, 12, 4)
     p = build("mbr0", top, src, GF8)
     result = verify_reconstruction(p, src, samples=60, seed=9)
     assert result.passed
-    assert result.coverage == {"sets": len(contact_sets(top, samples=60, seed=9)),
+    assert result.coverage == {"method": "mds-count", "sets": 12_870, "exhaustive": True,
+                               "decoded": DECODE_SAMPLE}
+    monkeypatch.setattr(harness, "COUNT_BUDGET", 12_869)
+    result = verify_reconstruction(p, src, samples=60, seed=9)
+    assert result.passed
+    assert result.coverage == {"method": "mds-count",
+                               "sets": len(contact_sets(top, samples=60, seed=9)),
                                "exhaustive": False, "decoded": DECODE_SAMPLE}
 
 
@@ -122,17 +135,18 @@ def test_certificate_agrees_with_decoding_every_set(raw):
     assert result.passed
 
 
-def _mutate(monkeypatch, edit):
+def _mutate(monkeypatch, edit, relayout=lambda layout: layout):
     """Make every construction a copy whose components edit(components, gf)
-    gives: builds, reconstructs and the certificate all see the same code,
-    one object per construction so that the engine's caches still hold."""
+    gives and whose layout relayout(layout) gives: builds, reconstructs and
+    the certificate all see the same code, one object per construction so
+    that the engine's caches still hold."""
     real, made = codes.construction, {}
 
     def construction(kind, top, gf, params):
         con = real(kind, top, gf, params)
         if con not in made:
-            made[con] = Construction(con.params, con.layout, edit(con.components, gf),
-                                     con.repair_plan)
+            made[con] = Construction(con.params, relayout(dict(con.layout)),
+                                     edit(con.components, gf), con.repair_plan)
         return made[con]
 
     monkeypatch.setattr(codes, "construction", construction)
@@ -148,13 +162,16 @@ def _set_column(comp, c, values):
     return replace(comp, generator=gen, rs=comp.rs and replace(comp.rs, generator=gen))
 
 
-def _rank_mutation_fails(p, src, contact):
-    """The certificate fails on contact, as decoding every set does."""
+def _rank_mutation_fails(p, src, contact, method="rank-walk"):
+    """The certificate fails on contact, as decoding every set does. A
+    mutation that breaks a component's structure leaves it to the rank
+    walk."""
     result, oracle = verify_reconstruction(p, src), decode_every_set(p, src)
     assert not result.passed and not oracle.passed
     assert result.counterexample["contact"] == oracle.counterexample["contact"] == contact
     assert "span fewer" in result.counterexample["reason"]
     assert result.coverage["decoded"] == 0
+    assert result.coverage["method"] == method
 
 
 def test_certificate_fails_on_zeroed_column(monkeypatch):
@@ -186,6 +203,121 @@ def test_certificate_walks_each_decoded_component(monkeypatch):
     g, con = codes.generator(p), codes.construction(p.kind, p.topology, p.gf, p.params)
     whole = [[g.column(i - 1) for i in con.layout[node]] for node in p.topology.nodes()]
     assert first_deficient(GF8, whole, [(0, 1, 2)], p.params["M"]) is None
+
+
+def _vandermonde(gf, points, rows):
+    return Matrix(rows, len(points), [[gf.pow(x, i) for x in points] for i in range(rows)])
+
+
+def test_certificate_fails_on_repeated_point(monkeypatch):
+    """mbr0 (12,6,3): with its second evaluation point equal to its first,
+    the generator is still the Vandermonde matrix of its points, but they
+    are not distinct, so the count does not apply and the rank walk finds
+    the set that decoding finds."""
+    def repeat(comps, gf):
+        points = (comps[0].rs.eval_points[0],) * 2 + comps[0].rs.eval_points[2:]
+        gen = _vandermonde(gf, points, comps[0].rs.k_in)
+        return (replace(comps[0], generator=gen,
+                        rs=replace(comps[0].rs, eval_points=points, generator=gen)),)
+
+    _mutate(monkeypatch, repeat)
+    p, src = build_fig4(3)
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3", "1,4", "2,1", "2,2"])
+
+
+def test_certificate_fails_on_short_layout(monkeypatch):
+    """mbr0 (12,6,3) with node (1,1) storing symbol 4, which node (1,2)
+    stores too, in place of symbol 3: the Reed-Solomon code is intact, so
+    the count certifies it. Its first set short of M = 11 coordinates, by
+    one, is the first set that decoding fails."""
+    def relayout(layout):
+        layout[NodeId(1, 1)] = (1, 2, 4)
+        return layout
+
+    _mutate(monkeypatch, lambda comps, gf: comps, relayout)
+    p, src = build_fig4(3)
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "2,1", "2,2", "2,3", "2,4"], "mds-count")
+
+
+def _rebased(comp, gf, xs):
+    """comp, an msr-wrapped component, on a copy of its product-matrix base
+    whose points are xs: every column is the new base's coeff row."""
+    base = copy(comp.pm)
+    base.xs = xs
+    base.psi = [[gf.pow(x, e) for e in range(2 * base.alpha)] for x in xs]
+    rows = [base.coeff(u, a) for u in range(base.n) for a in range(base.alpha)]
+    return replace(comp, pm=base,
+                   generator=Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]))
+
+
+@pytest.mark.parametrize("raw, second, contact", [
+    # a repeated x, so a repeated lambda = x^alpha
+    ({"n": 9, "k": 5, "L": 3, "code": "msr-wrapped", "epsilon": "1/2"}, lambda gf, x: x,
+     ["1,1", "1,2", "1,3", "2,1", "2,2"]),
+    # x times a cube root of unity: a new x with the same lambda = x^3
+    ({"n": 7, "k": 4, "L": 1, "code": "msr-wrapped", "epsilon": "1"},
+     lambda gf, x: gf.mul(x, gf.exp[(gf.order - 1) // 3]), ["1,1", "1,2", "1,3", "1,4"]),
+], ids=["repeated-x", "repeated-lambda"])
+def test_certificate_fails_on_repeated_product_matrix_lambda(monkeypatch, raw, second, contact):
+    """msr-wrapped whose second node's lambda repeats the first's: the
+    product-matrix premise fails, and the rank walk finds the set that
+    decoding finds."""
+    def edit(comps, gf):
+        xs = list(comps[0].pm.xs)
+        xs[1] = second(gf, xs[0])
+        lambdas.append({gf.pow(x, comps[0].pm.alpha) for x in xs})
+        return (_rebased(comps[0], gf, xs),)
+
+    lambdas = []
+    _mutate(monkeypatch, edit)
+    p, src = _built(raw)
+    assert len(lambdas[0]) == raw["n"] - 1
+    _rank_mutation_fails(p, src, contact)
+
+
+def test_certificate_fails_on_column_off_the_product_matrix(monkeypatch):
+    """msr-wrapped (9,5,3) with one generator column zeroed: the column is
+    off its product-matrix coeff row, so the rank walk runs, and node (1,1)
+    no longer completes any set."""
+    _mutate(monkeypatch, lambda comps, gf: (_set_column(comps[0], 0, [0] * 20),))
+    p, src = _built({"n": 9, "k": 5, "L": 3, "code": "msr-wrapped", "epsilon": "1/2"})
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3", "2,1", "2,2"])
+
+
+def test_certificate_walks_ranks_only_where_no_structure(monkeypatch):
+    """Over the acceptance systems and msr-wrapped (9,5,3), only msr0-nondiv,
+    whose code has no classical structure, gets a rank walk."""
+    walks, real = [], harness.first_deficient
+
+    def counting(gf, columns, sets, rank):
+        walks.append(kind)
+        return real(gf, columns, sets, rank)
+
+    monkeypatch.setattr(harness, "first_deficient", counting)
+    methods = {}
+    for config in acceptance_systems() + [parse_config(ORACLE_SYSTEMS[5])]:
+        kind = config["kind"]
+        report = run_system(config)
+        assert report.passed
+        methods[kind] = next(c.coverage["method"] for c in report.checks
+                             if c.name == "reconstruction")
+    assert walks == ["msr0-nondiv"]
+    assert methods == {"mbr0": "mds-count", "mbr": "mds-count", "msr0-div": "mds-count",
+                       "msr0-nondiv": "rank-walk", "msr-stacked": "mds-count",
+                       "msr-wrapped": "product-matrix"}
+
+
+def test_certificate_counts_a_large_mbr_code():
+    """mbr (14,7,2) with chi = 2: M = 91 over 133 coordinates. Its 3,432
+    contact sets are certified by the count, where a rank walk of 91
+    dimensions took half a minute."""
+    top = ClusterTopology(14, 7, 2)
+    src = random_source(GF8, declared_params("mbr", top, 2)["M"], 5)
+    p = build("mbr", top, src, GF8, chi=2)
+    result = verify_reconstruction(p, src)
+    assert result.passed
+    assert result.coverage == {"method": "mds-count", "sets": 3_432, "exhaustive": True,
+                               "decoded": DECODE_SAMPLE}
 
 
 def test_certificate_names_a_flipped_node_outside_the_decode_sample(monkeypatch):
@@ -223,6 +355,13 @@ def test_run_system_decodes_only_the_sample(monkeypatch):
     monkeypatch.setattr(codes, "reconstruct", counting)
     assert run_system(parse_config({"n": 12, "k": 6, "L": 3, "code": "mbr0"})).passed
     assert 0 < len(calls) <= DECODE_SAMPLE
+
+
+def test_domain_sweep():
+    """Every kind passes run_system on every topology of its domain with
+    n <= 8, at each chi in {1, 2, 3} it takes (CI runs n <= 10)."""
+    assert len(domain_configs(8)) == 299
+    assert sweep(8) == []
 
 
 def test_count_distinct_fig4():
@@ -289,7 +428,8 @@ def test_run_system_report_shape():
     assert all(set(c) == {"name", "pass", "counterexample"}
                for c in obj["checks"] if c["name"] != "reconstruction")
     recon = next(c for c in obj["checks"] if c["name"] == "reconstruction")
-    assert recon["coverage"] == {"sets": 20, "exhaustive": True, "decoded": DECODE_SAMPLE}
+    assert recon["coverage"] == {"method": "mds-count", "sets": 20, "exhaustive": True,
+                                 "decoded": DECODE_SAMPLE}
     names = [c["name"] for c in obj["checks"]]
     assert names == ["params-match", "structure", "exact-repair",
                      "reconstruction", "counting"]

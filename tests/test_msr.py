@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from clustercodes import mdscodec
 from clustercodes.codes import build, generator, reconstruct, repair
 from clustercodes.errors import (InsufficientDataError, ParamError, RegimeError)
 from clustercodes.galois import GF, field_create
@@ -253,6 +254,18 @@ def test_nondiv_search_work_is_bounded(monkeypatch):
     monkeypatch.setattr(GF, "inv", counted)
     nondiv_search(ClusterTopology(12, 7, 4), GF8)
     assert calls <= 30_000
+
+
+def test_nondiv_search_inverts_only_the_winner(monkeypatch):
+    """The candidates are checked on the plain Vandermonde generator, which
+    gives every column set the rank of the systematic one: the (12,7,4)
+    search makes the systematic generator, with its one mat_inv, only for
+    the candidate it records."""
+    calls, real = [], mdscodec.mat_inv
+    monkeypatch.setattr(mdscodec, "mat_inv", lambda gf, m: calls.append(m) or real(gf, m))
+    assert nondiv_search(ClusterTopology(12, 7, 4), GF8)["eval_points"] == \
+        SEARCHED[(12, 7, 4)][0]
+    assert len(calls) <= 1
 
 
 class TestStacked:
