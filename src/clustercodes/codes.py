@@ -128,6 +128,7 @@ class Kind(NamedTuple):
     declared: Callable[..., dict[str, Any]]  # its domain and declared params
     construction: Callable[[ClusterTopology, GF, dict], Construction]
     search: Callable[[ClusterTopology, GF], dict] = lambda top, gf: {}  # params a build records
+    record_keys: tuple[str, ...] = ()  # the names of the params search records
     # FormatError unless a loaded placement's params hold what search records
     recorded: Callable[[ClusterTopology, GF, dict], None] = lambda top, gf, params: None
 
@@ -138,10 +139,11 @@ TABLE = {
     "mbr": Kind("mbr", _mbr, mbr.transfer),
     "msr0-div": Kind("msr", _msr0_div, msr.div),
     "msr0-nondiv": Kind("msr", _msr0_nondiv, msr.nondiv, msr.nondiv_search,
-                        msr.nondiv_recorded),
+                        ("eval_points", "parity_weights", "d"), msr.nondiv_recorded),
     "msr-stacked": Kind("msr", _msr_stacked, msr.stacked),
     "msr-wrapped": Kind("msr", _msr_wrapped, msr.wrapped,
-                        lambda top, gf: {"base": "product-matrix"}),
+                        lambda top, gf: {"base": "product-matrix"}, ("base",),
+                        msr.wrapped_recorded),
 }
 
 
@@ -196,19 +198,20 @@ def default_field(kind: str, top: ClusterTopology, chi: int | None = None,
 
 
 def construction(kind: str, top: ClusterTopology, gf: GF, params: dict) -> Construction:
-    """The construction of a placement's code. Of params, only chi and the
-    msr0-nondiv evaluation points and parity weights define it."""
-    return _construction(kind, top, gf, params.get("chi"),
-                         tuple(params.get("eval_points", ())),
-                         tuple(params.get("parity_weights", ())))
+    """The construction of a placement's code. Of params, only chi and what
+    the kind's search records (its row's `record_keys`) define it."""
+    keys = TABLE[kind].record_keys
+    recorded = [tuple(v) if type(v) is list else v for v in map(params.get, keys)]
+    return _construction(kind, top, gf, params.get("chi"), tuple(recorded))
 
 
 @lru_cache(maxsize=32)
 def _construction(kind: str, top: ClusterTopology, gf: GF, chi: int | None,
-                  points: tuple[int, ...], weights: tuple[int, ...]) -> Construction:
+                  recorded: tuple[Any, ...]) -> Construction:
+    """The construction, given the values of its row's record_keys."""
+    row = TABLE[kind]
     declared = declared_params(kind, top, chi)
-    return TABLE[kind].construction(top, gf, dict(declared, eval_points=points,
-                                                  parity_weights=weights))
+    return row.construction(top, gf, dict(declared, **dict(zip(row.record_keys, recorded))))
 
 
 @lru_cache(maxsize=32)
@@ -347,9 +350,9 @@ def check_params(p: Placement) -> None:
     """Raise FormatError unless p's params are those a build of its kind
     records: a kind of TABLE, an integer chi where there is one, a 'p/q'
     epsilon, a topology and chi in the kind's domain, the declared
-    parameters and what the kind's search records (its row's `recorded`
-    check). A placement read from a file is checked once on load; the engine
-    itself trusts its params."""
+    parameters, what the kind's search records (its row's `recorded`
+    check) and no other param but s. A placement read from a file is
+    checked once on load; the engine itself trusts its params."""
     if p.kind not in TABLE:
         raise FormatError(f"unknown placement kind {p.kind!r}")
     chi, eps = p.params.get("chi"), p.params.get("epsilon")
@@ -370,7 +373,11 @@ def check_params(p: Placement) -> None:
     if bad is not None:
         key, want, actual = bad
         raise FormatError(f"placement param {key}={actual}, but {p.kind} declares {want}")
-    TABLE[p.kind].recorded(p.topology, p.gf, p.params)
+    row = TABLE[p.kind]
+    row.recorded(p.topology, p.gf, p.params)
+    stray = sorted(p.params.keys() - declared.keys() - set(row.record_keys) - {"s"})
+    if stray:
+        raise FormatError(f"placement param {stray[0]} is not one that {p.kind} records")
 
 
 class _Repair(NamedTuple):

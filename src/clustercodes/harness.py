@@ -163,6 +163,12 @@ METHODS = ("product-matrix", "mds-count", "rank-walk")
 COUNT_BUDGET = 200_000
 
 
+def decode_sample(sets: list[tuple[int, ...]], seed: int) -> list[tuple[int, ...]]:
+    """The DECODE_SAMPLE of sets, drawn by seed and sorted, that
+    verify_reconstruction decodes."""
+    return sorted(Random(seed).sample(sets, min(DECODE_SAMPLE, len(sets))))
+
+
 def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
                           samples: int = 1_000, seed: int = 0) -> CheckResult:
     """Every k-subset of nodes decodes to source, certified on the code's
@@ -246,7 +252,7 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
         if bad is not None:
             return fail(bad, reason=f"contacted symbols span fewer than the {rank} "
                                     f"source symbols of a component")
-    for subset in sorted(Random(seed).sample(sets, min(DECODE_SAMPLE, len(sets)))):
+    for subset in decode_sample(sets, seed):
         coverage["decoded"] += 1
         try:
             recovered = codes.reconstruct(p, [nodes[u] for u in subset])

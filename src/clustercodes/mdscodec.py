@@ -203,6 +203,7 @@ class LinearMap:
         they are."""
         w, data = self.width, self.matrix.data
         terms, copied = [], set()
+        products = {}  # per coefficient: its nonzero (p, table or None, q), p*w+q in order
         for j in range(self.matrix.cols):
             nonzero = [t for t, row in enumerate(data) if row[j]]
             if len(nonzero) == 1 and data[nonzero[0]][j] == 1:
@@ -210,10 +211,13 @@ class LinearMap:
                 continue
             col = []
             for t in nonzero:
-                tables = byte_tables(self.gf, data[t][j])
-                col += [(t * w + p, None if tab == _IDENTITY else tab, q)
-                        for p in range(w) for q in range(w)
-                        if (tab := tables[p * w + q]) != _ZERO]
+                c = data[t][j]
+                if c not in products:
+                    tables = byte_tables(self.gf, c)
+                    products[c] = [(p, None if tab == _IDENTITY else tab, q)
+                                   for p in range(w) for q in range(w)
+                                   if (tab := tables[p * w + q]) != _ZERO]
+                col += [(t * w + p, tab, q) for p, tab, q in products[c]]
             copied.update(src for src, tab, _ in col if tab is None)
             terms.append(col)
         return terms, copied
@@ -288,13 +292,6 @@ class LinearMap:
                 for j, lc in terms:
                     out[j] ^= exp[lv + lc]
         return out
-
-
-@lru_cache(maxsize=128)
-def _stripe_map(gf: GF, rows: tuple[tuple[int, ...], ...]) -> LinearMap:
-    """The map of rs_decode's surplus columns, given as row tuples, its
-    stripe terms compiled once for every wide block it is applied to."""
-    return LinearMap(gf, Matrix(len(rows), len(rows[0]) if rows else 0, rows))
 
 
 def _row_reduce(gf: GF, rows: list[list[int]],
@@ -393,20 +390,30 @@ class SolveResult:
         return self.consistent and not self.free_cols
 
 
-@lru_cache(maxsize=128)
-def _eliminated(gf: GF, rows: tuple[tuple[int, ...], ...],
+# The elimination cache holds one entry per coefficient matrix solved: six
+# benchmark passes at seed 2 solve 254 distinct ones on verify-suite and 122
+# on bulk-lib, so 128 entries thrash and 1,024 hold every one.
+ELIMINATIONS = 1024
+
+
+@lru_cache(maxsize=ELIMINATIONS)
+def _eliminated(gf: GF, a: bytes, rows: int,
                 cols: int) -> tuple[int, tuple[int, ...], LinearMap]:
-    """A's elimination, once per coefficient matrix: (rank, pivot columns,
-    T's map). T is what eliminating [A | I] leaves in the place of I: the
-    row operations of the elimination, which depend on A alone, so T b is the
-    right-hand side that eliminating [A | b] leaves. The map holds T
-    transposed, because LinearMap computes x G, and compiles its stripe terms
-    once for every wide block it is applied to."""
-    n = len(rows)
-    aug, pivots = _row_reduce(gf, [[*row, *(int(i == j) for j in range(n))]
-                                   for i, row in enumerate(rows)], cols)
-    t = [[row[cols + r] for row in aug] for r in range(n)]
-    return len(pivots), tuple(pivots), LinearMap(gf, Matrix(n, n, t))
+    """The elimination of A, given as the stripe of its row-major values
+    (to_stripes), once per coefficient matrix: (rank, pivot columns, T's
+    map). T is what eliminating [A | I] leaves in the place of I: the row
+    operations of the elimination, which depend on A alone, so T b is the
+    right-hand side that eliminating [A | b] leaves, for any b. The map
+    holds T transposed, because LinearMap computes x G, with each row as
+    bytes over GF(2^8) (an array of symbols over wider fields), so that an
+    entry stays small."""
+    vals = from_stripes([a], gf.width)
+    aug, pivots = _row_reduce(gf, [[*vals[i * cols:(i + 1) * cols],
+                                    *(int(i == j) for j in range(rows))]
+                                   for i in range(rows)], cols)
+    t = [[row[cols + r] for row in aug] for r in range(rows)]
+    t = [bytes(col) if gf.width == 1 else array(_TYPECODE[gf.width], col) for col in t]
+    return len(pivots), tuple(pivots), LinearMap(gf, Matrix(rows, rows, t))
 
 
 def mat_solve(gf: GF, a: Matrix, rhs: list[bytes]) -> SolveResult:
@@ -414,24 +421,19 @@ def mat_solve(gf: GF, a: Matrix, rhs: list[bytes]) -> SolveResult:
     rhs[r] holds row r's right-hand side in each instance, and the solution
     holds each unknown's stripe.
 
-    The rule is LinearMap's: a block with at least as many instances as A
-    has rows is solved as T b, by the stripe kernel, for the cached
-    elimination T of [A | I] and its compiled map (_eliminated); a narrower
-    one by eliminating [A | b]."""
+    Every block is solved as T b, for the cached elimination T of [A | I]
+    (_eliminated), by LinearMap.apply, which picks instance by instance or
+    by stripe from the block's width. The first rank rows of T b are the
+    pivot unknowns; the rows after them are the residual, which is zero in
+    every instance exactly when the system is consistent, so a tall system
+    checks its surplus equations there."""
     w = gf.width
     s = _instances(rhs, w)
     if len(rhs) != a.rows:
         raise ParamError(f"rhs length {len(rhs)} does not match {a.rows} rows")
-    if s >= a.rows:
-        rank, pivots, t = _eliminated(gf, tuple(map(tuple, a.data)), a.cols)
-        reduced = t.apply(rhs, s)
-    else:
-        n, vals = len(rhs), from_stripes(rhs, w)
-        aug, pivots = _row_reduce(gf, [row + list(vals[r::n]) for r, row in enumerate(a.data)],
-                                  a.cols)
-        rank = len(pivots)
-        reduced = to_stripes(list(chain.from_iterable(zip(*(row[a.cols:] for row in aug)))),
-                             n, w)
+    key = to_stripes(chain.from_iterable(a.data), 1, w)[0]
+    rank, pivots, t = _eliminated(gf, key, a.rows, a.cols)
+    reduced = t.apply(rhs, s)
     if any(row.strip(b"\0") for row in reduced[rank:]):
         return SolveResult(None, rank, [])  # some row reads 0 = nonzero
     x = [bytes(s * w)] * a.cols
@@ -513,17 +515,13 @@ def rs_encode(code: RsCode, message: list[bytes]) -> list[bytes]:
 
 def rs_decode(code: RsCode, shares: list[tuple[int, bytes]]) -> list[bytes]:
     """Recover a block of messages from shares [(coordinate, stripe)],
-    coordinate 1-based, by one elimination; the message holds one stripe per
-    message symbol.
+    coordinate 1-based; the message holds one stripe per message symbol.
 
     Needs k_in distinct coordinates. Duplicate shares are checked against
-    each other, and the surplus ones against the codeword of the decoded
-    message, in every instance, by one map: the code's own instance by
-    instance when the block is narrower than the codeword, otherwise that of
-    the surplus columns alone, compiled once per column set. A disagreement
-    raises InconsistentSharesError.
+    each other; then every distinct coordinate goes into one tall solve
+    (mat_solve), whose residual rows check the surplus shares against the
+    others in every instance. A disagreement raises InconsistentSharesError.
     """
-    w = code.gf.width
     seen: dict[int, bytes] = {}
     for coord, val in shares:
         if not 1 <= coord <= code.n_out:
@@ -536,23 +534,11 @@ def rs_decode(code: RsCode, shares: list[tuple[int, bytes]]) -> list[bytes]:
             f"{len(seen)} distinct coordinates given, need {code.k_in}"
         )
     coords = sorted(seen)
-    base, surplus = coords[:code.k_in], coords[code.k_in:]
-    sub = code.generator.take_columns([c - 1 for c in base])
-    message = mat_solve(code.gf, sub.transpose(), [seen[c] for c in base]).solution
-    # unique: a Vandermonde submatrix is invertible
-    if surplus:
-        s = len(message[0]) // w  # mat_solve has checked the shares it solved
-        if s < code.n_out:  # instance by instance: the code's own map
-            word = code.map.apply(message, s)
-            predicted = [word[c - 1] for c in surplus]
-        else:  # by stripe: a map of the surplus columns alone
-            cols = code.generator.take_columns([c - 1 for c in surplus])
-            predicted = _stripe_map(code.gf, tuple(map(tuple, cols.data))).apply(message, s)
-        for c, stripe in zip(surplus, predicted):
-            if stripe != seen[c]:
-                raise InconsistentSharesError(
-                    f"share at coordinate {c} disagrees with decoded message"
-                )
+    system = code.generator.take_columns([c - 1 for c in coords]).transpose()
+    # unique: any k_in columns of a Vandermonde generator are independent
+    message = mat_solve(code.gf, system, [seen[c] for c in coords]).solution
+    if message is None:
+        raise InconsistentSharesError("surplus shares disagree with the decoded message")
     return message
 
 

@@ -137,7 +137,8 @@ def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
 def nondiv_recorded(top: ClusterTopology, gf: GF, params: dict) -> None:
     """FormatError unless a loaded placement's params hold what nondiv_search
     records: L*(n_I-1) distinct nonzero evaluation points and as many nonzero
-    parity weights, all of them elements of gf."""
+    parity weights, all of them elements of gf, and for n <= 12 the minimum
+    distance d, an integer."""
     size = _nondiv_dims(top)[0]
     for key, what in (("eval_points", "distinct nonzero"), ("parity_weights", "nonzero")):
         vals = params.get(key)
@@ -146,6 +147,8 @@ def nondiv_recorded(top: ClusterTopology, gf: GF, params: dict) -> None:
                 key == "eval_points" and len(set(vals)) != size):
             raise FormatError(f"placement {key} is not {size} {what} elements "
                               f"of GF(2^{gf.m})")
+    if top.n <= 12 and type(params.get("d")) is not int:
+        raise FormatError(f"placement d {params.get('d')!r} is not an integer")
 
 
 def nondiv(top: ClusterTopology, gf: GF, params: dict) -> Construction:
@@ -183,6 +186,13 @@ def stacked(top: ClusterTopology, gf: GF, params: dict) -> Construction:
 
 
 # ----------------------------------------------------------------- wrapped
+
+def wrapped_recorded(top: ClusterTopology, gf: GF, params: dict) -> None:
+    """FormatError unless a loaded placement's params name the product-matrix
+    code as the base that msr-wrapped wraps."""
+    if params.get("base") != "product-matrix":
+        raise FormatError(f"placement base {params.get('base')!r} is not 'product-matrix'")
+
 
 def wrapped(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     """Node u stores the product-matrix content of base node u as symbols

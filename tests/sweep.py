@@ -1,5 +1,7 @@
 """The domain sweep: every code kind on every topology of its domain up to a
-bound on n, each certified by harness.run_system.
+bound on n, each certified by harness.run_system, whose decodes hold one
+instance, and decoded again at as many instances as its widest decode has
+equations (wide_decode), so that both ways of applying a solve run.
 
 Tier-1 runs it at a small bound (test_harness.test_domain_sweep); for a
 larger one, run
@@ -14,9 +16,9 @@ from __future__ import annotations
 import sys
 
 from clustercodes import codes
-from clustercodes.errors import ParamError
-from clustercodes.harness import report_to_obj, run_system
-from clustercodes.topology import ClusterTopology
+from clustercodes.errors import ClusterCodeError, ParamError
+from clustercodes.harness import decode_sample, random_source, report_to_obj, run_system
+from clustercodes.topology import ClusterTopology, contact_sets, node_pair
 
 
 def domain_configs(max_n: int) -> list[dict]:
@@ -43,10 +45,40 @@ def domain_configs(max_n: int) -> list[dict]:
     return configs
 
 
+def wide_decode(config: dict) -> str | None:
+    """Build the config's system at s = k * alpha instances, at least as many
+    as any decode from k nodes has equations, so that every solve applies
+    its elimination by stripe, and reconstruct run_system's decode sample
+    from it: None when each set gives back the source, else what failed."""
+    top, kind, chi, seed = (config[key] for key in ("topology", "kind", "chi", "seed"))
+    params = codes.declared_params(kind, top, chi)
+    gf = codes.default_field(kind, top, chi)
+    s = top.k * params["alpha"]
+    source = random_source(gf, s * params["M"], seed)
+    try:
+        p = codes.build(kind, top, source, gf, chi)
+    except ClusterCodeError as e:
+        return f"s={s}: the build failed: {e}"
+    nodes = [node_pair(u + 1, top) for u in range(top.n)]
+    for subset in decode_sample(contact_sets(top, seed=seed), seed):
+        try:
+            got = codes.reconstruct(p, [nodes[u] for u in subset])
+        except ClusterCodeError as e:
+            return f"s={s}: the decode from {subset} failed: {e}"
+        if got != source:
+            return f"s={s}: the decode from {subset} differs from the source"
+    return None
+
+
 def sweep(max_n: int) -> list[dict]:
-    """The reports, as JSON data, of every domain config that fails."""
-    return [report_to_obj(report) for report in map(run_system, domain_configs(max_n))
-            if not report.passed]
+    """The reports, as JSON data, of every domain config that fails, with the
+    failure of its wide decode, if any, under "wide_decode"."""
+    failed = []
+    for config in domain_configs(max_n):
+        report, wide = run_system(config), wide_decode(config)
+        if not report.passed or wide:
+            failed.append(report_to_obj(report) | ({"wide_decode": wide} if wide else {}))
+    return failed
 
 
 if __name__ == "__main__":

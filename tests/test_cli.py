@@ -518,6 +518,12 @@ PARAM_EDITS = {
         eval_points=[params["eval_points"][1], *params["eval_points"][1:]])),
     "field-m-20": ("mbr", lambda params: params["field"].update(m=20, poly=0x100009)),
     "chi-on-msr0-div": ("msr0-div", lambda params: params.update(chi=3)),
+    # what msr0-nondiv's search records, on a kind that records none of it
+    "stray-points-int": ("mbr0", lambda params: params.update(eval_points=5)),
+    "stray-points-null": ("mbr0", lambda params: params.update(eval_points=None)),
+    "stray-weights-nested": ("mbr0", lambda params: params.update(parity_weights=[[1]])),
+    "nondiv-d-list": ("msr0-nondiv", lambda params: params.update(d=[[1]])),
+    "wrapped-base-other": ("msr-wrapped", lambda params: params.update(base="other")),
 }
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from clustercodes import codes
 from clustercodes.codes import build, declared_params, reconstruct, repair
-from clustercodes.errors import FormatError, ParamError
+from clustercodes.errors import FormatError, InconsistentSharesError, ParamError
 from clustercodes.galois import field_create
 from clustercodes.mdscodec import ProductMatrixMsr
-from clustercodes.placement import transcript_to_obj
+from clustercodes.placement import Holding, transcript_to_obj
 from clustercodes.topology import (ClusterTopology, NodeId, node_flat,
                                    nodes_realizing, omega_star)
 
@@ -106,6 +106,34 @@ def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
         calls.clear()
         assert reconstruct(p, contact) == source
         assert len(calls) == decoding, (s, calls)
+
+
+@pytest.mark.parametrize("s", [1, 64])
+@pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
+def test_warm_decoder_still_checks_every_call(kind, shape, ratio, s):
+    """A reconstruct from every node, which holds surplus shares, solves
+    systems whose eliminations the cache keeps: after a good placement has
+    warmed them, the same contact set on a placement with every stored copy
+    of one decoded symbol flipped in the last instance still raises, and the
+    good one still decodes."""
+    top = ClusterTopology(*shape)
+    rng = Random(s)
+    source = [rng.randrange(256) for _ in range(s * declared_params(kind, top, **ratio)["M"])]
+    p = build(kind, top, source, GF8, **ratio)
+    read = codes.construction(kind, top, GF8, p.params).components[0].idx[0]
+    holdings = {}
+    for node, held in p.holdings.items():
+        stripes = list(held.stripes)
+        if read in held.idxs:
+            c = held.idxs.index(read)
+            stripes[c] = stripes[c][:-1] + bytes([stripes[c][-1] ^ 1])
+        holdings[node] = Holding(held.idxs, tuple(stripes), held.s, held.theta, held.width)
+    bad = replace(p, holdings=holdings)
+    contact = list(top.nodes())
+    assert reconstruct(p, contact) == source
+    with pytest.raises(InconsistentSharesError):
+        reconstruct(bad, contact)
+    assert reconstruct(p, contact) == source
 
 
 def _instance_counts(theta):

@@ -279,18 +279,19 @@ def _solution(gf, res, width):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_block_solve_equals_column_solves(gf, shape, data):
-    """However many instances a block holds, its solve is the per-instance
-    solves, which eliminate [A | b]: the same rank, free columns,
-    consistency and solution, whether the block is solved by the cached
-    elimination of [A | I] (as many instances as A has rows, or more) or by
-    its own."""
+    """However many instances a block holds, and so whichever way LinearMap
+    applies the cached elimination to it (instance by instance below A's
+    row count, by stripe from it on), its solve is the per-instance solves:
+    the same rank (mat_rank's), free columns, consistency and solution, and
+    the solution solves A X = B."""
     a, blocks = _block_system(data.draw, gf, shape)
+    rank = mat_rank(gf, a)
     if shape == "full-rank":
-        assume(mat_rank(gf, a) == a.rows)
+        assume(rank == a.rows)
     for b in blocks:
         block = mat_solve(gf, a, _rows_as_stripes(gf, b))
         per_column = [mat_solve(gf, a, one(b.column(j), gf)) for j in range(b.cols)]
-        assert all(res.rank == block.rank for res in per_column), b.cols
+        assert all(res.rank == block.rank == rank for res in per_column), b.cols
         assert block.consistent == all(res.consistent for res in per_column)
         assert block.consistent == (shape != "inconsistent")
         if not block.consistent:
@@ -323,8 +324,8 @@ def test_wide_solutions_are_fresh_lists():
 
 def test_second_wide_solve_of_a_matrix_eliminates_nothing(monkeypatch):
     """The elimination of [A | I] and T's compiled map are held per
-    coefficient matrix: another wide block on the same A reuses them in one
-    cache lookup, and a narrow one still eliminates."""
+    coefficient matrix: another block on the same A, wide or narrow, reuses
+    them in one cache lookup."""
     rng = Random(23)
     a = Matrix(4, 4, [[rng.randrange(GF16.order) for _ in range(4)] for _ in range(4)])
 
@@ -337,14 +338,12 @@ def test_second_wide_solve_of_a_matrix_eliminates_nothing(monkeypatch):
     real = mdscodec._row_reduce
     monkeypatch.setattr(mdscodec, "_row_reduce",
                         lambda *args: calls.append(len(args[1])) or real(*args))
-    monkeypatch.setattr(mdscodec, "_stripe_map", None)  # rs_decode's surplus maps only
-    wide, before = block(300), mdscodec._eliminated.cache_info()
-    res = mat_solve(GF16, a, _rows_as_stripes(GF16, wide))
-    after = mdscodec._eliminated.cache_info()
-    assert calls == [] and (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert mat_mul(GF16, a, _solution(GF16, res, 300)).data == wide.data
-    mat_solve(GF16, a, _rows_as_stripes(GF16, block(3)))
-    assert calls == [4]
+    for width in (300, 3, 1):
+        b, before = block(width), mdscodec._eliminated.cache_info()
+        res = mat_solve(GF16, a, _rows_as_stripes(GF16, b))
+        after = mdscodec._eliminated.cache_info()
+        assert calls == [] and (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert mat_mul(GF16, a, _solution(GF16, res, width)).data == b.data
 
 
 def _instances(gf, n_out, k_in, s, seed):
