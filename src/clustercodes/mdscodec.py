@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -294,10 +295,34 @@ class LinearMap:
         return out
 
 
-def _row_reduce(gf: GF, rows: list[list[int]],
-                pivot_cols: int) -> tuple[list[list[int]], list[int]]:
+@lru_cache(maxsize=4)
+def _row_kernel(gf: GF) -> tuple:
+    """How the eliminations hold a row of field elements, and their two row
+    operations: (as_row, scale, addmul), with scale(c, row) = c * row and
+    addmul(acc, c, row) = acc + c * row, each a new row. Over GF(2^8) a row
+    is bytes, scaled through c's translate table (value_tables) and added
+    as an int; over wider fields a list, with GF.scale_row and addmul_row.
+    Either form indexes to its field elements."""
+    if gf.width > 1:
+        return list, gf.scale_row, gf.addmul_row
+    tables, frm = value_tables(gf), int.from_bytes
+
+    def scale(c: int, row: bytes) -> bytes:
+        return row.translate(tables[c])
+
+    def addmul(acc: bytes, c: int, row: bytes) -> bytes:
+        return (frm(acc, "little") ^ frm(row.translate(tables[c]), "little")).to_bytes(
+            len(acc), "little")
+
+    return bytes, scale, addmul
+
+
+def _row_reduce(gf: GF, rows: list[list[int]], pivot_cols: int) -> tuple[list, list[int]]:
     """Reduced row echelon form in the first pivot_cols columns, each row
-    operation applied to the whole row; returns (rows, pivot column list)."""
+    operation applied to the whole row; returns (rows, pivot column list),
+    the rows in _row_kernel's form."""
+    as_row, scale, addmul = _row_kernel(gf)
+    rows = [as_row(row) for row in rows]
     n_rows = len(rows)
     pivots = []
     r = 0
@@ -308,34 +333,35 @@ def _row_reduce(gf: GF, rows: list[list[int]],
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r] = gf.scale_row(gf.inv(rows[r][c]), rows[r])
+        prow = rows[r] = scale(gf.inv(rows[r][c]), rows[r])
         for i in range(n_rows):
             f = rows[i][c]
             if f and i != r:
-                rows[i] = gf.addmul_row(rows[i], f, prow)
+                rows[i] = addmul(rows[i], f, prow)
         pivots.append(c)
         r += 1
     return rows, pivots
 
 
 def mat_rank(gf: GF, m: Matrix) -> int:
-    _, pivots = _row_reduce(gf, [row[:] for row in m.data], m.cols)
-    return len(pivots)
+    return len(_row_reduce(gf, m.data, m.cols)[1])
 
 
-def first_deficient(gf: GF, columns: list[list[list[int]]], sets: list[tuple[int, ...]],
+def first_deficient(gf: GF, columns: list[list[list[int]]], sets: Iterable[tuple[int, ...]],
                     rank: int) -> tuple[int, ...] | None:
     """The first of sets (tuples of node indices) whose nodes' columns span
     fewer than rank dimensions, or None when every set reaches rank.
 
     columns[u] is node u's group of columns, each a list of field elements
-    of equal length. The sets are walked as a prefix tree: the echelon basis
-    of the current set's first d nodes is kept for every depth d, so a set
-    reduces only the columns of the nodes after the prefix it shares with
-    the set before it, and a prefix whose basis reaches rank closes every
-    set that extends it. Sorted sets (contact_sets) share the most; any
-    order gives the same answer."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row scaled to 1 there), in order
+    of equal length. The sets, any iterable, are walked as a prefix tree:
+    the echelon basis of the current set's first d nodes is kept for every
+    depth d, so a set reduces only the columns of the nodes after the prefix
+    it shares with the set before it, and a prefix whose basis reaches rank
+    closes every set that extends it. Sorted sets (contact_sets,
+    combinations) share the most; any order gives the same answer."""
+    as_row, scale, addmul = _row_kernel(gf)
+    columns = [[as_row(x) for x in group] for group in columns]
+    basis: list[tuple[int, bytes | list[int]]] = []  # (pivot, row scaled to 1 there), in order
     sizes = [0]  # sizes[d]: the basis length of path's first d nodes
     path: tuple[int, ...] = ()
     for sub in sets:
@@ -351,10 +377,10 @@ def first_deficient(gf: GF, columns: list[list[list[int]]], sets: list[tuple[int
                 # pass in order clears every pivot of x
                 for p, row in basis:
                     if x[p]:
-                        x = gf.addmul_row(x, x[p], row)
+                        x = addmul(x, x[p], row)
                 p = next((i for i, v in enumerate(x) if v), None)
                 if p is not None:
-                    basis.append((p, gf.scale_row(gf.inv(x[p]), x)))
+                    basis.append((p, scale(gf.inv(x[p]), x)))
             sizes.append(len(basis))
             if len(basis) >= rank:
                 break
@@ -407,9 +433,8 @@ def _eliminated(gf: GF, a: bytes, rows: int,
     holds T transposed, because LinearMap computes x G, with each row as
     bytes over GF(2^8) (an array of symbols over wider fields), so that an
     entry stays small."""
-    vals = from_stripes([a], gf.width)
-    aug, pivots = _row_reduce(gf, [[*vals[i * cols:(i + 1) * cols],
-                                    *(int(i == j) for j in range(rows))]
+    vals, unit = from_stripes([a], gf.width), Matrix.identity(rows).data
+    aug, pivots = _row_reduce(gf, [[*vals[i * cols:(i + 1) * cols], *unit[i]]
                                    for i in range(rows)], cols)
     t = [[row[cols + r] for row in aug] for r in range(rows)]
     t = [bytes(col) if gf.width == 1 else array(_TYPECODE[gf.width], col) for col in t]
@@ -445,25 +470,29 @@ def mat_solve(gf: GF, a: Matrix, rhs: list[bytes]) -> SolveResult:
 def mat_inv(gf: GF, m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ParamError("only square matrices can be inverted")
-    aug = [row[:] + Matrix.identity(m.rows).data[i] for i, row in enumerate(m.data)]
-    aug, pivots = _row_reduce(gf, aug, m.cols)
+    unit = Matrix.identity(m.rows).data
+    aug, pivots = _row_reduce(gf, [row + unit[i] for i, row in enumerate(m.data)], m.cols)
     if len(pivots) < m.rows:
         raise ParamError("matrix is singular")
-    return Matrix(m.rows, m.cols, [row[m.rows:] for row in aug])
+    return Matrix(m.rows, m.cols, [list(row[m.rows:]) for row in aug])
 
 
 def generator_min_distance(gf: GF, g: Matrix) -> int:
-    """Exact minimum distance of the code generated by g (desk scale only).
+    """Exact minimum distance of the code that g's rows span.
 
-    d = n - max{|S| : the columns S have rank < K}; scans subset sizes
-    downward, so cost explodes past roughly n = 12.
+    d = n - max{|S| : the columns S have rank < K}, for K = mat_rank(g).
+    Rank only grows as columns are added, so the sizes are walked upward
+    from K, each by one prefix walk over its column sets (first_deficient):
+    the first size at which every set reaches K is n - d + 1. A size below
+    it stops at its first deficient set, so the cost is about one walk over
+    the C(n, n - d + 1) sets of that size. The zero code gets n + 1.
     """
-    n, k_dim = g.cols, g.rows
-    for size in range(n - 1, -1, -1):
-        for subset in combinations(range(n), size):
-            if mat_rank(gf, g.take_columns(list(subset))) < k_dim:
-                return n - size
-    return n  # zero-dimensional edge case; not reached for k_dim >= 1
+    n, dim = g.cols, mat_rank(gf, g)
+    columns = [[g.column(j)] for j in range(n)]
+    for size in range(dim, n + 1):
+        if first_deficient(gf, columns, combinations(range(n), size), dim) is None:
+            break
+    return n - size + 1
 
 
 @dataclass

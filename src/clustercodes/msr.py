@@ -66,20 +66,40 @@ def _nondiv_dims(top: ClusterTopology) -> tuple[int, int]:
 
 
 def _nondiv_generator(top: ClusterTopology, gf: GF, points: tuple[int, ...],
-                      weights: tuple[int, ...], systematic: bool = True) -> Matrix:
-    """Overall generator: outer-code columns plus one weighted-parity column
-    per cluster. weights holds the L*(n_I-1) parity coefficients, all nonzero,
-    so each group forms an (n_I, n_I-1) MDS code. The systematic generator is
-    B times the one on the plain Vandermonde outer code, for an invertible B,
-    so both give every set of columns the same rank."""
+                      weights: tuple[int, ...]) -> Matrix:
+    """Overall generator: the systematic outer code's columns plus one
+    weighted-parity column per cluster. weights holds the L*(n_I-1) parity
+    coefficients, all nonzero, so each group forms an (n_I, n_I-1) MDS
+    code."""
     big_t, k_dim = _nondiv_dims(top)
-    outer = rs_create(big_t, k_dim, gf, systematic=systematic, points=points).generator
+    outer = rs_create(big_t, k_dim, gf, systematic=True, points=points).generator
     g = top.n_I - 1
     cols: list[list[int]] = []
     for l in range(top.L):
         group = [outer.column(l * g + j) for j in range(g)]
         cols += group + [vec_mat(gf, list(weights[l * g:(l + 1) * g]), Matrix(g, k_dim, group))]
     return Matrix(k_dim, top.n, [list(row) for row in zip(*cols)])
+
+
+def _nondiv_columns(top: ClusterTopology, gf: GF, points: tuple[int, ...],
+                    weights: tuple[int, ...]) -> list[list[list[int]]]:
+    """Each node's column of the generator over the plain Vandermonde outer
+    code, as first_deficient takes them, built from gf's exp and log tables:
+    (1, x, ..., x^(K-1)) per point x, then each cluster's parity, the sum of
+    its points' columns under their weights. The systematic generator is B
+    times this one, for an invertible B, so both give every set of columns
+    the same rank."""
+    k_dim, g, size = _nondiv_dims(top)[1], top.n_I - 1, gf.order - 1
+    exp, log = gf.exp, gf.log
+    columns = []
+    for l in range(top.L):
+        parity = [0] * k_dim
+        for x, c in zip(points[l * g:(l + 1) * g], weights[l * g:(l + 1) * g]):
+            lx, lc = log[x], log[c]
+            columns.append([[exp[lx * e % size] for e in range(k_dim)]])
+            parity = [y ^ exp[lc + lx * e % size] for e, y in enumerate(parity)]
+        columns.append([parity])
+    return columns
 
 
 def _nondiv_candidates(gf: GF, big_t: int, draws: int = 2048):
@@ -110,14 +130,14 @@ def nondiv_search(top: ClusterTopology, gf: GF) -> dict:
     candidates, the latest rejecter first, and only then on every contact set,
     by one prefix walk (first_deficient). It passes only if every set has
     full rank, so the order of the checks cannot change which candidate is
-    chosen. The checks run on the generator with the plain Vandermonde outer
-    code, which has the ranks of the systematic one without its inversion."""
+    chosen. The checks run on the columns of _nondiv_columns, which have the
+    ranks of the systematic generator without its inversion; only the chosen
+    candidate's systematic generator is made, for d (n <= 12)."""
     big_t, k_dim = _nondiv_dims(top)
     sets = contact_sets(top)
     rejecters: list[tuple[int, ...]] = []
     for points, weights in _nondiv_candidates(gf, big_t):
-        gen = _nondiv_generator(top, gf, points, weights, systematic=False)
-        columns = [[gen.column(u)] for u in range(top.n)]
+        columns = _nondiv_columns(top, gf, points, weights)
         bad = first_deficient(gf, columns, rejecters, k_dim)
         if bad is not None:
             rejecters.remove(bad)

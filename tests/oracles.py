@@ -8,6 +8,7 @@ implementation under test.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from clustercodes import codes
@@ -76,6 +77,18 @@ def rank(gf, rows: list[list[int]]) -> int:
                 rows[i] = [x ^ gf.mul(f, y) for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def min_distance(gf, g: Matrix) -> int:
+    """Minimum distance of the code generated by g, of full row rank K, by
+    the downward scan: d = n - max{|S| : the columns S have rank < K}, with
+    one elimination (rank, above) per column set from size n - 1 down."""
+    n, dim = g.cols, g.rows
+    for size in range(n - 1, -1, -1):
+        for subset in combinations(range(n), size):
+            if rank(gf, [[row[j] for j in subset] for row in g.data]) < dim:
+                return n - size
+    return n
 
 
 def solve(gf, a: Matrix, b: list[int]) -> list[int]:

@@ -15,7 +15,7 @@ from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables, first_deficie
                                    rs_encode, to_stripes, vec_mat)
 from clustercodes.topology import ClusterTopology, contact_sets
 
-from oracles import det
+from oracles import det, min_distance, rank as oracle_rank
 
 GF8 = field_create(8)
 GF16 = field_create(16)
@@ -205,6 +205,66 @@ def test_mat_mul_identity():
 def test_min_distance_of_mds_code():
     code = rs_create(6, 3, GF8)
     assert generator_min_distance(GF8, code.generator) == 4  # n - k + 1
+
+
+def _entries(draw, gf, rows, cols):
+    """A rows x cols matrix whose entries lean on 0 and 1, so that column
+    sets of every rank turn up."""
+    return [[draw(st.sampled_from([0, 0, 1, 2])) if draw(st.booleans())
+             else draw(st.integers(0, gf.order - 1)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_min_distance_equals_downward_scan(gf, data):
+    """The upward prefix walk finds the distance that one elimination per
+    column set, from the largest set down, finds (oracles.min_distance)."""
+    n = data.draw(st.integers(1, 9))
+    k_dim = data.draw(st.integers(1, n))
+    g = Matrix(k_dim, n, _entries(data.draw, gf, k_dim, n))
+    assume(oracle_rank(gf, g.data) == k_dim)
+    assert generator_min_distance(gf, g) == min_distance(gf, g)
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_min_distance_of_rs_generators(gf, data):
+    """A Reed-Solomon generator, plain or systematic, on any distinct
+    nonzero points: both ways give n - k + 1."""
+    n = data.draw(st.integers(1, 10))
+    k_in = data.draw(st.integers(1, n))
+    points = tuple(data.draw(st.lists(st.integers(1, gf.order - 1), min_size=n, max_size=n,
+                                      unique=True)))
+    g = rs_create(n, k_in, gf, data.draw(st.booleans()), points).generator
+    assert generator_min_distance(gf, g) == min_distance(gf, g) == n - k_in + 1
+
+
+@pytest.mark.parametrize("gf", [GF8, GF16], ids=["gf8", "gf16"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_min_distance_of_dependent_rows(gf, data):
+    """A generator with dependent rows (a zero row, a copied row, a sum of
+    two rows) generates the code its independent rows do, and gets that
+    code's distance: the dimension is its rank, not its row count."""
+    n = data.draw(st.integers(1, 8))
+    k_dim = data.draw(st.integers(1, n))
+    g = Matrix(k_dim, n, _entries(data.draw, gf, k_dim, n))
+    assume(oracle_rank(gf, g.data) == k_dim)
+    i, j = data.draw(st.integers(0, k_dim - 1)), data.draw(st.integers(0, k_dim - 1))
+    extra = data.draw(st.sampled_from([[0] * n, g.data[i],
+                                       [x ^ y for x, y in zip(g.data[i], g.data[j])]]))
+    rows = list(g.data)
+    rows.insert(data.draw(st.integers(0, k_dim)), list(extra))
+    assert generator_min_distance(gf, Matrix(k_dim + 1, n, rows)) == min_distance(gf, g)
+
+
+def test_min_distance_of_the_zero_code():
+    """A zero generator spans the zero code, which meets the Singleton bound
+    n - 0 + 1."""
+    assert generator_min_distance(GF8, Matrix(2, 5, [[0] * 5, [0] * 5])) == 6
 
 
 def test_mds_property_every_code_up_to_length_12():
@@ -518,3 +578,63 @@ def test_first_deficient_equals_rank_scan(gf, regime, make, data):
     elif make != "random" and regime == "exhaustive" and (
             make == "zeroed column" or i != j and (i // alpha == j // alpha or top.k > 1)):
         assert got is not None, make  # some contact set holds both columns i and j
+
+
+# ----------------------------- row kernel: bytes rows against list rows
+
+def _with_list_rows(fn, *args):
+    """fn(*args) with the eliminations holding GF(2^8) rows as lists and
+    operating on them with GF.scale_row and addmul_row, as over wider
+    fields: the reference for the bytes rows."""
+    real = mdscodec._row_kernel
+    mdscodec._row_kernel = lambda gf: (list, gf.scale_row, gf.addmul_row)
+    try:
+        return fn(*args)
+    finally:
+        mdscodec._row_kernel = real
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bytes_rows_agree_with_list_rows(data):
+    """Over GF(2^8) _row_reduce, mat_rank, mat_inv and first_deficient give
+    what the list-row kernel gives, on matrices with zero rows, zero columns
+    and duplicate rows, and mat_rank is the oracle's rank."""
+    draw = data.draw
+    rows_n, cols_n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [[draw(st.sampled_from([0, 1, 255])) if draw(st.booleans())
+             else draw(st.integers(0, 255)) for _ in range(cols_n)] for _ in range(rows_n)]
+    for i in draw(st.lists(st.integers(0, rows_n - 1), max_size=2)):
+        rows[i] = [0] * cols_n
+    for j in draw(st.lists(st.integers(0, cols_n - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, rows_n - 1),
+                                        st.integers(0, rows_n - 1)), max_size=2)):
+        rows[j] = list(rows[i])
+    m, before = Matrix(rows_n, cols_n, rows), [list(row) for row in rows]
+    pivot_cols = draw(st.integers(0, cols_n))
+
+    got, pivots = mdscodec._row_reduce(GF8, m.data, pivot_cols)
+    want = _with_list_rows(mdscodec._row_reduce, GF8, m.data, pivot_cols)
+    assert ([list(row) for row in got], pivots) == want
+    assert m.data == before  # the input rows are left as they were
+
+    assert mat_rank(GF8, m) == _with_list_rows(mat_rank, GF8, m) == oracle_rank(GF8, rows)
+
+    square = Matrix(rows_n, rows_n, [(row * 7)[:rows_n] for row in rows])
+    try:
+        inv = mdscodec.mat_inv(GF8, square)
+    except ParamError:
+        with pytest.raises(ParamError, match="singular"):
+            _with_list_rows(mdscodec.mat_inv, GF8, square)
+    else:
+        assert inv == _with_list_rows(mdscodec.mat_inv, GF8, square)
+        assert mat_mul(GF8, square, inv).data == Matrix.identity(rows_n).data
+
+    columns = [[list(col)] for col in zip(*rows)]
+    sets = list(combinations(range(cols_n), draw(st.integers(0, cols_n))))
+    target = draw(st.integers(0, rows_n))
+    want = _with_list_rows(first_deficient, GF8, columns, sets, target)
+    assert first_deficient(GF8, columns, sets, target) == want
+    assert first_deficient(GF8, columns, iter(sets), target) == want

@@ -9,11 +9,12 @@ from clustercodes import mdscodec
 from clustercodes.codes import build, generator, reconstruct, repair
 from clustercodes.errors import (InsufficientDataError, ParamError, RegimeError)
 from clustercodes.galois import GF, field_create
-from clustercodes.msr import ProductMatrixMsr, nondiv_search, rot_group
+from clustercodes.msr import ProductMatrixMsr, _nondiv_generator, nondiv_search, rot_group
 from clustercodes.topology import ClusterTopology, NodeId, node_flat
 
-from oracles import (pm_encode, pm_reconstruct, pm_regenerate, pm_repair_symbol, rank,
-                     rot_node_j)
+from oracles import (min_distance, pm_encode, pm_reconstruct, pm_regenerate, pm_repair_symbol,
+                     rank, rot_node_j)
+from sweep import domain_configs
 
 GF8 = field_create(8)
 
@@ -241,8 +242,8 @@ def test_nondiv_search_chooses_the_recorded_points(shape):
 
 def test_nondiv_search_work_is_bounded(monkeypatch):
     """A count, not a wall time: the (12,7,4) search, d included, inverts at
-    most 30,000 field elements (a fresh elimination per contact set and
-    candidate took 282,759)."""
+    most 5,000 field elements (3,418 with d by prefix walks; a fresh
+    elimination per contact set and candidate took 282,759)."""
     calls = 0
     inv = GF.inv
 
@@ -253,7 +254,20 @@ def test_nondiv_search_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(GF, "inv", counted)
     nondiv_search(ClusterTopology(12, 7, 4), GF8)
-    assert calls <= 30_000
+    assert calls <= 5_000
+
+
+def test_nondiv_min_distance_equals_downward_scan():
+    """d, which the search records for n <= 12, is the distance that one
+    elimination per column set from the largest down finds
+    (oracles.min_distance) on the recorded generator, for every msr0-nondiv
+    topology with n <= 12; each builds over GF(2^8)."""
+    shapes = [c["topology"] for c in domain_configs(12) if c["kind"] == "msr0-nondiv"]
+    assert len(shapes) == 137
+    for top in shapes:
+        found = nondiv_search(top, GF8)
+        gen = _nondiv_generator(top, GF8, found["eval_points"], found["parity_weights"])
+        assert found["d"] == min_distance(GF8, gen), top
 
 
 def test_nondiv_search_inverts_only_the_winner(monkeypatch):
