@@ -1,7 +1,7 @@
 """The code kinds, their parameters, and one engine serving all of them:
 TABLE is the one list of kinds and gives each its mode, its domain and
-declared parameters, its construction (layout, component codes and repair
-plan; see construction.py) and its build-time search; build, repair,
+declared parameters, its construction (layout, base code and its words,
+repair plan; see construction.py) and its build-time search; build, repair,
 regenerate and reconstruct run any construction. A repair plan only says
 what each helper sends: the engine solves how the lost symbols follow from
 the sends once per failed node, on the code's generator."""
@@ -9,8 +9,9 @@ the sends once per failed node, on the code's generator."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from numbers import Rational
+from operator import xor
 from typing import Any, Callable, NamedTuple
 
 from . import mbr, msr
@@ -20,8 +21,8 @@ from .construction import Construction
 from .errors import (FormatError, InconsistentSharesError, InsufficientDataError,
                      ParamError, RegimeError)
 from .galois import GF, field_create, field_for_codeword_length
-from .mdscodec import (LinearMap, Matrix, from_stripes, mat_solve, rs_decode, rs_encode,
-                       to_stripes)
+from .mdscodec import (LinearMap, Matrix, _row_reduce, from_stripes, mat_solve, rs_decode,
+                       rs_encode, to_stripes)
 from .placement import Holding, Placement, RepairTranscript, as_int, holding_from_pairs
 from .topology import ClusterTopology, NodeId
 
@@ -215,20 +216,34 @@ def _construction(kind: str, top: ClusterTopology, gf: GF, chi: int | None,
 
 
 @lru_cache(maxsize=32)
-def _maps(con: Construction, gf: GF) -> tuple[LinearMap | None, ...]:
-    """Per component, the compiled map of a generator that is not a
-    Reed-Solomon code's; those encode through rs_encode."""
-    return tuple(None if comp.rs else LinearMap(gf, comp.generator)
-                 for comp in con.components)
+def _map(con: Construction, gf: GF, coords: tuple[int, ...]) -> LinearMap:
+    """The map from a source slice to the base code's coordinates coords,
+    compiled once per coordinate set: the encode of a base that is not a
+    Reed-Solomon code (those encode through rs_encode), and the parity
+    check of each contact set."""
+    return LinearMap(gf, con.generator.take_columns(list(coords)))
+
+
+def _summed(con: Construction, stripes: list[bytes]) -> list[bytes]:
+    """The parity word's source: the sum of the words' slices of the source
+    stripes, as the XOR of their stripes."""
+    k, size = con.generator.rows, len(stripes[0])
+    return [reduce(xor, (int.from_bytes(x, "big") for x in stripes[r::k])).to_bytes(size, "big")
+            for r in range(k)]
 
 
 def _word(con: Construction, gf: GF, stripes: list[bytes]) -> list[bytes]:
-    """Per symbol index (0 unused), its stripe: each component encodes every
-    instance in one call, on the stripes of its source symbols."""
-    word = [b""] * (con.params["theta"] + 1)
-    for comp, lin in zip(con.components, _maps(con, gf)):
-        block = stripes[comp.msg]
-        for i, col in zip(comp.idx, rs_encode(comp.rs, block) if comp.rs else lin.stripes(block)):
+    """Per symbol index (0 unused), its stripe: the base code encodes every
+    instance of each word in one call, on its slice of the source stripes,
+    and the parity word on the sum of the slices."""
+    word, k = [b""] * (con.params["theta"] + 1), con.generator.rows
+    blocks = [(idx, stripes[t * k:(t + 1) * k]) for t, idx in enumerate(con.words)]
+    if con.parity:
+        blocks.append((con.parity, _summed(con, stripes)))
+    for idx, block in blocks:
+        code = (rs_encode(con.rs, block) if con.rs
+                else _map(con, gf, tuple(range(len(idx)))).stripes(block))
+        for i, col in zip(idx, code):
             word[i] = col
     return word
 
@@ -445,16 +460,18 @@ def _plan(con: Construction, gf: GF, failed: NodeId) -> _Repair:
     pool = [cols[i] for h in senders for i in con.layout[h]]
     pool += mix.stripes([pool[e] for e in mix_in]) if mixers else []
     vector = [pool[wire[h][1][f]] for h, _, firsts in received for f in firsts]
-    # each row of L is a stripe, one instance per lost symbol, so each
-    # stripe of the solution is a row of X
-    lost = _matrix([cols[i] for i in con.layout[failed]], con.params["M"], gf)
-    res = mat_solve(gf, _matrix(vector, con.params["M"], gf),
-                    [to_stripes(row, 1, gf.width)[0] for row in lost.data])
-    if res.solution is None:
+    # one elimination of [R | L]: X is L's part of the pivot rows, its free
+    # unknowns zero, and L's part of every row below the rank must be zero
+    lost = [cols[i] for i in con.layout[failed]]
+    rows, pivots = _row_reduce(gf, _matrix(vector + lost, con.params["M"], gf).data,
+                               len(vector))
+    if any(any(row[len(vector):]) for row in rows[len(pivots):]):
         raise ParamError(f"the repair plan of {failed} does not determine its symbols")
-    solve = Matrix(len(vector), lost.cols,
-                   [list(from_stripes([x], gf.width)) for x in res.solution])
-    return _Repair(senders, mix_in, mix, wire, tuple(received), LinearMap(gf, solve))
+    solve = [[0] * len(lost) for _ in vector]
+    for row, c in zip(rows, pivots):
+        solve[c] = list(row[len(vector):])
+    return _Repair(senders, mix_in, mix, wire, tuple(received),
+                   LinearMap(gf, Matrix(len(vector), len(lost), solve)))
 
 
 def repair(p: Placement, failed: NodeId) -> tuple[RepairTranscript, Holding]:
@@ -495,18 +512,11 @@ def regenerate(p: Placement, transcript: RepairTranscript) -> Holding:
                    con.params["theta"], w)
 
 
-@lru_cache(maxsize=32)
-def _check(con: Construction, gf: GF, c: int, coords: tuple[int, ...]) -> LinearMap:
-    """The map from component c's source slice to its coordinates coords,
-    compiled once per contact set."""
-    return LinearMap(gf, con.components[c].generator.take_columns(list(coords)))
-
-
 def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
-    """Decode the source from >= k distinct nodes, one component at a time
-    and all s instances at once: Reed-Solomon components by rs_decode, the
-    others by elimination. A component whose source slice earlier ones have
-    decoded is not decoded: its contacted symbols are checked against it."""
+    """Decode the source from >= k distinct nodes, one word at a time and all
+    s instances at once: a Reed-Solomon base by rs_decode, the others by
+    elimination. The parity word is not decoded: its contacted symbols are
+    checked against the sum of the decoded slices."""
     unique = list(dict.fromkeys(nodes))
     con, s = _engine(p, unique)
     if len(unique) < p.topology.k:
@@ -516,26 +526,25 @@ def reconstruct(p: Placement, nodes: list[NodeId]) -> list[int]:
     for node, stripes in zip(unique, _content(p, con, unique, s)):
         for i, stripe in zip(con.layout[node], stripes):
             held.setdefault(i, []).append(stripe)
-    msg: list[bytes] = [b""] * con.params["M"]  # per source symbol, its stripe
-    for n, comp in enumerate(con.components):
-        # every copy goes in: redundant ones are checked
-        shares = [(c, x) for c, i in enumerate(comp.idx) for x in held.get(i, ())]
-        if all(msg[comp.msg]):
-            lin = _check(con, p.gf, n, tuple(c for c, _ in shares))
-            if lin.apply(msg[comp.msg], s) != [x for _, x in shares]:
-                raise InconsistentSharesError("contacted symbols disagree with the decoded source")
+    gen, msg = con.generator, []  # per source symbol, its stripe
+    for idx in con.words:
+        # every copy goes in: surplus ones are checked
+        shares = [(c, x) for c, i in enumerate(idx) for x in held.get(i, ())]
+        if con.rs:
+            msg += rs_decode(con.rs, [(c + 1, x) for c, x in shares])
             continue
-        if comp.rs:
-            msg[comp.msg] = rs_decode(comp.rs, [(c + 1, x) for c, x in shares])
-            continue
-        system = Matrix(len(shares), comp.generator.rows,
-                        [comp.generator.column(c) for c, _ in shares])
+        system = Matrix(len(shares), gen.rows, [gen.column(c) for c, _ in shares])
         res = mat_solve(p.gf, system, [x for _, x in shares])
         if res.solution is None:
             raise InconsistentSharesError("contacted symbols are inconsistent")
         if res.underdetermined:
             raise InsufficientDataError("contacted symbols do not pin the source")
-        msg[comp.msg] = res.solution
+        msg += res.solution
+    if con.parity:
+        shares = [(c, x) for c, i in enumerate(con.parity) for x in held.get(i, ())]
+        lin = _map(con, p.gf, tuple(c for c, _ in shares))
+        if lin.apply(_summed(con, msg), s) != [x for _, x in shares]:
+            raise InconsistentSharesError("contacted symbols disagree with the decoded source")
     return list(from_stripes(msg, p.gf.width))
 
 

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import codes
 from .capacity import capacity_eval, derive, mbr_filesize_pos, mbr_filesize_zero
-from .construction import Component
+from .construction import Construction
 from .errors import ClusterCodeError, FormatError, ParamError
 from .galois import GF
 from .mdscodec import first_deficient, rs_create
@@ -92,36 +92,39 @@ def verify_exact_repair(p: Placement, node: NodeId | None = None) -> CheckResult
     return CheckResult(name, True)
 
 
-def _rs_certified(comp: Component, gf: GF, rank: int) -> bool:
-    """comp is the Reed-Solomon code that comp.rs records, on its `rank`
-    source symbols: its generator is the Vandermonde matrix, or its
-    systematic form, of distinct nonzero evaluation points. Then any k_in
-    distinct coordinates decode it."""
-    code = comp.rs
+def _rs_certified(con: Construction, gf: GF) -> bool:
+    """The base is the Reed-Solomon code that con.rs records, on the K
+    source symbols of each word: its generator is the Vandermonde matrix, or
+    its systematic form, of distinct nonzero evaluation points, and every
+    word has its n_out coordinates. Then any k_in distinct coordinates of a
+    word decode it."""
+    code = con.rs
     try:
         want = rs_create(code.n_out, code.k_in, gf, code.systematic, code.eval_points)
     except ParamError:
         return False
-    return (code.k_in == rank and len(comp.idx) == code.n_out
-            and comp.generator == code.generator == want.generator)
+    return (code.k_in == con.generator.rows and all(len(idx) == code.n_out for idx in con.words)
+            and con.generator == code.generator == want.generator)
 
 
-def _pm_certified(comp: Component, gf: GF, rank: int, held: list[list[int]]) -> bool:
-    """comp is the product-matrix code that comp.pm records, on its `rank`
-    source symbols, with the node of flat index u holding base node u:
-    distinct nonzero x_u with distinct lambda_u = x_u^alpha, psi_u the
-    powers of x_u, and node u's columns (held[u]) its coeff rows. Then any
-    k nodes decode it (Rashmi, Shah and Kumar, IEEE Trans. IT 2011)."""
-    pm = comp.pm
+def _pm_certified(con: Construction, gf: GF, held: list[list[list[int]]]) -> bool:
+    """The base is the product-matrix code that con.pm records, on the K
+    source symbols of each word, with the node of flat index u holding base
+    node u: distinct nonzero x_u with distinct lambda_u = x_u^alpha, psi_u
+    the powers of x_u, and node u's columns of every word (held[t][u]) its
+    coeff rows. Then any k nodes decode each word (Rashmi, Shah and Kumar,
+    IEEE Trans. IT 2011)."""
+    pm = con.pm
     xs = pm.xs
-    if (pm.gf != gf or pm.file_size != rank or not len(xs) == len(held) == pm.n
+    if (pm.gf != gf or pm.file_size != con.generator.rows
+            or not all(len(xs) == len(cols) == pm.n for cols in held)
             or not all(0 < x < gf.order for x in xs) or len(set(xs)) != len(xs)
             or len({gf.pow(x, pm.alpha) for x in xs}) != len(xs)):
         return False
     return all(pm.psi[u] == [gf.pow(x, e) for e in range(2 * pm.alpha)]
-               and [comp.generator.column(c) for c in cs]
+               and [con.generator.column(c) for c in cs]
                == [pm.coeff(u, a) for a in range(pm.alpha)]
-               for u, (x, cs) in enumerate(zip(xs, held)))
+               for cols in held for u, (x, cs) in enumerate(zip(xs, cols)))
 
 
 def _short_set(masks: list[int], sets, need: int) -> tuple[int, ...] | None:
@@ -150,13 +153,6 @@ def _short_set(masks: list[int], sets, need: int) -> tuple[int, ...] | None:
     return None
 
 
-# How each decoded component is certified, strongest first. A Reed-Solomon
-# component (comp.rs) is MDS, so a contact set decodes it exactly when it
-# holds k_in of its coordinates: an "mds-count". A product-matrix component
-# (comp.pm) decodes from any k nodes: no per-set work. Any other component,
-# or one whose premise fails on its coefficients, gets a "rank-walk".
-METHODS = ("product-matrix", "mds-count", "rank-walk")
-
 # The count ORs about one node mask per k-subset, about 1 us a set. Up to
 # this many k-subsets it walks every one of them, which covers every
 # topology with n <= 20 (C(20,10) = 184,756); above it, the walked sample.
@@ -174,51 +170,45 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
     """Every k-subset of nodes decodes to source, certified on the code's
     coefficients with no decode per set:
       (a) every node stores its part of the encode of source (codes.encode);
-      (b) in every k-subset, the contacted columns of each component that
-          codes.reconstruct decodes span that component's source slice.
+      (b) in every k-subset, the contacted columns of each word span the
+          word's K source symbols.
     By (a) each decode solves a consistent system, and by (b) its solution is
-    unique, so it is source; a component that reconstruct only checks against
-    the decoded source (msr0-div's parity) is consistent by (a).
+    unique, so it is source; the parity word, which reconstruct only checks
+    against the decoded source (msr0-div), is consistent by (a).
 
-    (b) reads each component's structure (METHODS). A Reed-Solomon
-    component whose generator is the Vandermonde matrix of distinct nonzero
-    points (_rs_certified) spans its slice exactly where the set holds k_in
-    of its coordinates: one OR of node bitmasks per set, over every k-subset
-    up to COUNT_BUDGET of them. A product-matrix component whose xs, lambdas
-    and columns are the base's (_pm_certified) spans it on every k-subset.
-    Any other component gets one first_deficient walk over the walked sets,
-    contact_sets(top, limit, samples, seed): every k-subset when C(n,k) <=
-    limit, else a seeded sample of them. With a premise holding, the count's
-    first short set is the walk's first deficient set, so the counterexample
-    does not depend on the method. (c) DECODE_SAMPLE of the walked sets,
-    drawn by seed, also go through codes.reconstruct, so that the decoder
-    itself runs.
+    (b) reads the base code's structure, certified once. A Reed-Solomon base
+    whose generator is the Vandermonde matrix of distinct nonzero points
+    (_rs_certified) is MDS, so a word spans its slice exactly where the set
+    holds k_in of its coordinates: an "mds-count", one OR of node bitmasks
+    per set, over every k-subset up to COUNT_BUDGET of them. A
+    product-matrix base whose xs, lambdas and columns are the base's
+    (_pm_certified) spans every word's slice on every k-subset:
+    "product-matrix", no per-set work. Any other base, or one whose premise
+    fails on its coefficients, gets a "rank-walk": one first_deficient walk
+    per word over the walked sets, contact_sets(top, limit, samples, seed):
+    every k-subset when C(n,k) <= limit, else a seeded sample of them. With
+    a premise holding, the count's first short set is the walk's first
+    deficient set, so the counterexample does not depend on the method. (c)
+    DECODE_SAMPLE of the walked sets, drawn by seed, also go through
+    codes.reconstruct, so that the decoder itself runs.
 
     A failure names the node (a) or the contact set (b, c). coverage holds
-    the weakest method used, the number of sets it covered, whether they are
-    every k-subset, and the number decoded."""
+    the method, the number of sets it covered, whether they are every
+    k-subset, and the number decoded."""
     top = p.topology
     sets = contact_sets(top, limit, samples, seed)
     every = comb(top.n, top.k)
     nodes = [node_pair(u + 1, top) for u in range(top.n)]  # by flat index, as in sets
     con = codes.construction(p.kind, top, p.gf, p.params)
-    certs = []  # per decoded component: (method, rank, component, per node its coordinates)
-    decoded: set[int] = set()
-    for comp in con.components:
-        rows = range(con.params["M"])[comp.msg]
-        if decoded.issuperset(rows):
-            continue  # reconstruct checks it against the source it decoded
-        decoded.update(rows)
-        held = [[c for c, i in enumerate(comp.idx) if i in con.layout[node]]
-                for node in nodes]
-        if comp.rs and _rs_certified(comp, p.gf, len(rows)):
-            method = "mds-count"
-        elif comp.pm and _pm_certified(comp, p.gf, len(rows), held):
-            method = "product-matrix"
-        else:
-            method = "rank-walk"
-        certs.append((method, len(rows), comp, held))
-    method = max((m for m, *_ in certs), key=METHODS.index)
+    rank = con.generator.rows
+    held = [[[c for c, i in enumerate(idx) if i in con.layout[node]] for node in nodes]
+            for idx in con.words]  # per word, per node its coordinates
+    if con.rs and _rs_certified(con, p.gf):
+        method = "mds-count"
+    elif con.pm and _pm_certified(con, p.gf, held):
+        method = "product-matrix"
+    else:
+        method = "rank-walk"
     whole = every <= limit or method == "product-matrix" or (
         method == "mds-count" and every <= COUNT_BUDGET)
     coverage = {"method": method, "sets": every if whole else len(sets),
@@ -236,17 +226,17 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
         if holding != p.holdings.get(node):
             return fail(node=_node_str(node),
                         reason="stored symbols differ from the encode of the source")
-    shorts = {}  # per (rank, node masks), its count: msr-stacked's words share one
-    for method, rank, comp, held in certs:
+    shorts = {}  # per node masks, its count: msr-stacked's words share one
+    for cols in held:
         if method == "mds-count":
-            key = (rank, tuple(sum(1 << c for c in cs) for cs in held))
-            if key not in shorts:
+            masks = tuple(sum(1 << c for c in cs) for cs in cols)
+            if masks not in shorts:
                 walk = combinations(range(top.n), top.k) if every <= COUNT_BUDGET else sets
-                shorts[key] = _short_set(key[1], walk, rank)
-            bad = shorts[key]
+                shorts[masks] = _short_set(masks, walk, rank)
+            bad = shorts[masks]
         elif method == "rank-walk":
-            bad = first_deficient(p.gf, [[comp.generator.column(c) for c in cs]
-                                         for cs in held], sets, rank)
+            bad = first_deficient(p.gf, [[con.generator.column(c) for c in cs]
+                                         for cs in cols], sets, rank)
         else:
             bad = None
         if bad is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .construction import Component, Construction
+from .construction import Construction
 from .errors import ParamError
 from .galois import GF
 from .mdscodec import rs_create
@@ -66,6 +66,5 @@ def transfer(top: ClusterTopology, gf: GF, params: dict) -> Construction:
         mine = set(layout[failed])
         return {h: [i for i in idxs if i in mine] for h, idxs in layout.items() if h != failed}
 
-    whole = Component(code.generator, slice(0, m_size), tuple(range(1, theta + 1)), code)
-    return Construction(params, {node: tuple(idxs) for node, idxs in layout.items()},
-                        (whole,), plan)
+    return Construction(params, {node: tuple(idxs) for node, idxs in layout.items()}, plan,
+                        code.generator, (tuple(range(1, theta + 1)),), rs=code)

@@ -417,8 +417,8 @@ class SolveResult:
 
 
 # The elimination cache holds one entry per coefficient matrix solved: six
-# benchmark passes at seed 2 solve 254 distinct ones on verify-suite and 122
-# on bulk-lib, so 128 entries thrash and 1,024 hold every one.
+# benchmark passes at seed 2 solve 161 distinct ones on verify-suite and 65
+# on bulk-lib, so 128 entries thrash on verify-suite and 1,024 hold every one.
 ELIMINATIONS = 1024
 
 

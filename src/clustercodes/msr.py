@@ -1,9 +1,9 @@
 """Minimum-storage codes for clustered storage.
 
 Four constructions, selected by bandwidth ratio and divisibility:
-  * msr0-div (eps=0, n_I | k): n_I-1 component (n,k) codes plus a per-group
-    parity, rotated across each cluster so every node holds one element of
-    each of its cluster's n_I parity groups.
+  * msr0-div (eps=0, n_I | k): n_I-1 (n,k) Reed-Solomon words plus their sum
+    as a per-group parity, rotated across each cluster so every node holds
+    one element of each of its cluster's n_I parity groups.
   * msr0-nondiv (eps=0, n_I does not divide k): a systematic (L*(n_I-1), k-q)
     outer code whose symbols are grouped per cluster under a single parity;
     one symbol per node.
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from random import Random
 
-from .construction import Component, Construction, RepairPlan
+from .construction import Construction, RepairPlan
 from .errors import FormatError, ParamError
 from .galois import GF
 from .mdscodec import (Matrix, ProductMatrixMsr, first_deficient, generator_min_distance,
-                       rs_create, vec_mat)
+                       mat_inv, mat_mul, rs_create)
 from .topology import ClusterTopology, NodeId, contact_sets, node_flat
 
 
@@ -39,23 +39,18 @@ def rot_group(l: int, j: int, t: int, n_i: int) -> int:
 
 
 def div(top: ClusterTopology, gf: GF, params: dict) -> Construction:
-    """Slot t < n_I of group i is coordinate i of component t, symbol
+    """Slot t < n_I of group i is coordinate i of word t, symbol
     (i-1)*n_I + t; slot n_I is the sum of the others, which is coordinate i
-    of the code of the summed message slices."""
-    n, k, n_i, m_size = top.n, top.k, top.n_I, params["M"]
+    of the parity word."""
+    n, k, n_i = top.n, top.k, top.n_I
     code = rs_create(n, k, gf)
     layout = {node: tuple(sorted((rot_group(node.l, node.j, t, n_i) - 1) * n_i + t
                                  for t in range(1, n_i + 1)))
               for node in top.nodes()}
-    slots = [Component(code.generator, slice((t - 1) * k, t * k),
-                       tuple((i - 1) * n_i + t for i in range(1, n + 1)), code)
-             for t in range(1, n_i)]
-    summed = Matrix(m_size, n, [row for _ in range(n_i - 1) for row in code.generator.data])
-    parity = Component(summed, slice(0, m_size),
-                       tuple(i * n_i for i in range(1, n + 1)))
+    slots = tuple(tuple((i - 1) * n_i + t for i in range(1, n + 1)) for t in range(1, n_i))
     # the cluster mates hold the rest of each of the failed node's groups
-    return Construction(params, layout, (*slots, parity),
-                        lambda failed: _whole_sends(layout, failed))
+    return Construction(params, layout, lambda failed: _whole_sends(layout, failed),
+                        code.generator, slots, tuple(i * n_i for i in range(1, n + 1)), code)
 
 
 # ------------------------------------------------------------ non-divisible
@@ -68,17 +63,15 @@ def _nondiv_dims(top: ClusterTopology) -> tuple[int, int]:
 def _nondiv_generator(top: ClusterTopology, gf: GF, points: tuple[int, ...],
                       weights: tuple[int, ...]) -> Matrix:
     """Overall generator: the systematic outer code's columns plus one
-    weighted-parity column per cluster. weights holds the L*(n_I-1) parity
-    coefficients, all nonzero, so each group forms an (n_I, n_I-1) MDS
-    code."""
-    big_t, k_dim = _nondiv_dims(top)
-    outer = rs_create(big_t, k_dim, gf, systematic=True, points=points).generator
-    g = top.n_I - 1
-    cols: list[list[int]] = []
-    for l in range(top.L):
-        group = [outer.column(l * g + j) for j in range(g)]
-        cols += group + [vec_mat(gf, list(weights[l * g:(l + 1) * g]), Matrix(g, k_dim, group))]
-    return Matrix(k_dim, top.n, [list(row) for row in zip(*cols)])
+    weighted-parity column per cluster, as the plain generator P
+    (_nondiv_columns) times the inverse of P's first K non-parity columns.
+    weights holds the L*(n_I-1) parity coefficients, all nonzero, so each
+    group forms an (n_I, n_I-1) MDS code."""
+    k_dim = _nondiv_dims(top)[1]
+    cols = [col for node in _nondiv_columns(top, gf, points, weights) for col in node]
+    plain = Matrix(k_dim, top.n, [list(row) for row in zip(*cols)])
+    data = [u for u in range(top.n) if (u + 1) % top.n_I][:k_dim]
+    return mat_mul(gf, mat_inv(gf, plain.take_columns(data)), plain)
 
 
 def _nondiv_columns(top: ClusterTopology, gf: GF, points: tuple[int, ...],
@@ -175,9 +168,9 @@ def nondiv(top: ClusterTopology, gf: GF, params: dict) -> Construction:
     """Node u stores coordinate u of the overall generator: one symbol per node."""
     gen = _nondiv_generator(top, gf, params["eval_points"], params["parity_weights"])
     layout = {node: (node_flat(node, top),) for node in top.nodes()}
-    whole = Component(gen, slice(0, gen.rows), tuple(range(1, top.n + 1)))
     # the cluster mates' symbols fix the lost one through the cluster's parity
-    return Construction(params, layout, (whole,), lambda failed: _whole_sends(layout, failed))
+    return Construction(params, layout, lambda failed: _whole_sends(layout, failed),
+                        gen, (tuple(range(1, top.n + 1)),))
 
 
 # ----------------------------------------------------------------- stacked
@@ -199,10 +192,8 @@ def stacked(top: ClusterTopology, gf: GF, params: dict) -> Construction:
             sends[h] = [n * t + node_flat(h, top)]
         return sends
 
-    words = tuple(Component(code.generator, slice(t * k, (t + 1) * k),
-                            tuple(n * t + u for u in range(1, n + 1)), code)
-                  for t in range(n - k))
-    return Construction(params, layout, words, plan)
+    words = tuple(tuple(n * t + u for u in range(1, n + 1)) for t in range(n - k))
+    return Construction(params, layout, plan, code.generator, words, rs=code)
 
 
 # ----------------------------------------------------------------- wrapped
@@ -230,6 +221,6 @@ def wrapped(top: ClusterTopology, gf: GF, params: dict) -> Construction:
         send = tuple(base.psi[node_flat(failed, top) - 1][:alpha])
         return {h: [(send, chi if h.l == failed.l else 1)] for h in top.nodes() if h != failed}
 
-    whole = Component(Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]),
-                      slice(0, base.file_size), tuple(range(1, len(rows) + 1)), pm=base)
-    return Construction(params, layout, (whole,), plan)
+    return Construction(params, layout, plan,
+                        Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]),
+                        (tuple(range(1, len(rows) + 1)),), pm=base)

@@ -134,19 +134,23 @@ def majorizes(a, b) -> bool:
 
 def ref_encode(con, gf, source: list[int]) -> dict:
     """Per-element encoder of a construction: one instance at a time, each
-    coordinate a sum of gf.mul products, as the engine encoded before it
-    worked on blocks."""
-    theta, m_size = con.params["theta"], con.params["M"]
+    coordinate a sum of gf.mul products, over its word's slice of the source
+    or, for the parity word, over the sum of the slices, as the engine
+    encoded before it worked on blocks."""
+    theta, m_size, gen = con.params["theta"], con.params["M"], con.generator
     holdings = {node: [] for node in con.layout}
     for inst in range(len(source) // m_size):
         msg = source[inst * m_size:(inst + 1) * m_size]
+        parts = [msg[t * gen.rows:(t + 1) * gen.rows] for t in range(len(con.words))]
+        summed = [0] * gen.rows
+        for part in parts:
+            summed = [y ^ x for y, x in zip(summed, part)]
         word = {}
-        for comp in con.components:
-            part = msg[comp.msg]
-            for c, i in enumerate(comp.idx):
+        for idx, part in [*zip(con.words, parts), (con.parity, summed)]:
+            for c, i in enumerate(idx):
                 val = 0
                 for t, x in enumerate(part):
-                    val ^= gf.mul(x, comp.generator.data[t][c])
+                    val ^= gf.mul(x, gen.data[t][c])
                 word[i] = val
         for node, idxs in con.layout.items():
             holdings[node] += [(inst * theta + i, word[i]) for i in idxs]
@@ -179,7 +183,7 @@ def _paper_equations(p, con, failed) -> list[tuple[int, list[tuple[int, int]]]]:
     assert p.kind == "msr-stacked", p.kind
     # coordinate f of codeword t from k of its coordinates: the cluster mates'
     # and the t-th remote node's in flat order
-    gen, f = con.components[0].generator, node_flat(failed, top)
+    gen, f = con.generator, node_flat(failed, top)
     intra = [node_flat(h, top) for h in top.cluster(failed.l) if h != failed]
     cross = [node_flat(h, top) for h in top.nodes() if h.l != failed.l]
     rows = []

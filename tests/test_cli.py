@@ -618,8 +618,8 @@ def test_dump_generator_encodes_the_placement(tmp_path, capsys, kind):
                  id=kind if (s, copies) == (8, "one") else f"{kind}-s{s}-{copies}")
     for s in (8, 64) for copies in ("one", "every") for kind in KIND_SYSTEMS])
 def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
-    """One in-field flip in the last of s instances, on a symbol a decoding
-    component reads, in one stored copy of it or in every copy: decoding from
+    """One in-field flip in the last of s instances, on a symbol of the first
+    word, in one stored copy of it or in every copy: decoding from
     every node notices it. One copy of a symbol the MBR codes store twice is
     caught as a duplicate that disagrees; every copy, or the one copy of an
     MSR symbol, as a share that disagrees with the others. At s = 64 every
@@ -631,7 +631,7 @@ def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
     obj = json.loads(place.read_text())
     p = placement_from_obj(obj)
     con = codes.construction(p.kind, p.topology, p.gf, p.params)
-    read = con.components[0].idx[0]
+    read = con.words[0][0]
     target = (s - 1) * con.params["theta"] + read
     stored = [x for e in obj["nodes"] for x in e["symbols"] if x["idx"] == target]
     for sym in stored[:1] if copies == "one" else stored:
@@ -648,7 +648,7 @@ def test_last_instance_corruption_caught(tmp_path, capsys, kind, s, copies):
 
 @pytest.mark.parametrize("s", [1, 64])
 def test_msr0_div_contacted_parity_checked(tmp_path, capsys, s):
-    """msr0-div decodes its source from the n_I - 1 slot components and
+    """msr0-div decodes its source from the n_I - 1 slot words and
     checks the parity symbols it contacts against that source: one parity
     value flipped on N(1,1) in the last instance makes the reconstruct from
     N(1,1), N(1,2), N(2,1) fail, by stripe at s = 64 and instance by instance
@@ -661,7 +661,7 @@ def test_msr0_div_contacted_parity_checked(tmp_path, capsys, s):
     obj = json.loads(place.read_text())
     p = placement_from_obj(obj)
     con = codes.construction(p.kind, p.topology, p.gf, p.params)
-    theta, parity = con.params["theta"], set(con.components[-1].idx)
+    theta, parity = con.params["theta"], set(con.parity)
     node = next(e for e in obj["nodes"] if (e["l"], e["j"]) == (1, 1))
     sym = next(x for x in node["symbols"]
                if x["idx"] > (s - 1) * theta and (x["idx"] - 1) % theta + 1 in parity)

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from clustercodes import codes
+from clustercodes import codes, mdscodec
 from clustercodes.codes import build, declared_params, reconstruct, repair
 from clustercodes.errors import FormatError, InconsistentSharesError, ParamError
 from clustercodes.galois import field_create
@@ -78,9 +78,8 @@ def test_wrapped_matches_product_matrix_reference():
 @pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
 def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
     """A reconstruct decodes every instance with one rs_decode or mat_solve
-    call per component it decodes, whatever the instance count; a component
-    whose source slice earlier ones cover (msr0-div's parity) is checked,
-    not decoded."""
+    call per word, whatever the instance count; the parity word (msr0-div's)
+    is checked, not decoded."""
     calls = []
 
     def counted(fn):
@@ -98,11 +97,7 @@ def test_one_decode_per_component(monkeypatch, kind, shape, ratio):
         rng = Random(s)
         source = [rng.randrange(256) for _ in range(s * m_size)]
         p = build(kind, top, source, GF8, **ratio)
-        covered, decoding = set(), 0
-        for comp in codes.construction(kind, top, GF8, p.params).components:
-            rows = set(range(m_size)[comp.msg])
-            decoding += not rows <= covered
-            covered |= rows
+        decoding = len(codes.construction(kind, top, GF8, p.params).words)
         calls.clear()
         assert reconstruct(p, contact) == source
         assert len(calls) == decoding, (s, calls)
@@ -120,7 +115,7 @@ def test_warm_decoder_still_checks_every_call(kind, shape, ratio, s):
     rng = Random(s)
     source = [rng.randrange(256) for _ in range(s * declared_params(kind, top, **ratio)["M"])]
     p = build(kind, top, source, GF8, **ratio)
-    read = codes.construction(kind, top, GF8, p.params).components[0].idx[0]
+    read = codes.construction(kind, top, GF8, p.params).words[0][0]
     holdings = {}
     for node, held in p.holdings.items():
         stripes = list(held.stripes)
@@ -166,8 +161,9 @@ def test_block_engine_matches_per_element_reference(kind, shape, ratio, gf):
 
 @pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
 def test_one_encode_per_component(monkeypatch, kind, shape, ratio):
-    """A build encodes every instance with one rs_encode call per
-    Reed-Solomon component, whatever the instance count."""
+    """A build encodes every instance with one rs_encode call per word of a
+    Reed-Solomon base, and one for its parity word, whatever the instance
+    count."""
     calls, original = [], codes.rs_encode
 
     def counted(*args):
@@ -180,8 +176,45 @@ def test_one_encode_per_component(monkeypatch, kind, shape, ratio):
     for s in (1, 64):
         calls.clear()
         p = build(kind, top, list(Random(s).randbytes(s * m_size)), GF8, **ratio)
-        components = codes.construction(kind, top, GF8, p.params).components
-        assert len(calls) == sum(comp.rs is not None for comp in components), s
+        con = codes.construction(kind, top, GF8, p.params)
+        assert len(calls) == (len(con.words) + bool(con.parity) if con.rs else 0), s
+
+
+@pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
+def test_generator_is_the_base_on_its_words(kind, shape, ratio):
+    """codes.generator is the block matrix that the construction states: the
+    base generator's column c in word t's rows at symbol words[t][c], and in
+    every word's rows at the parity symbol parity[c]."""
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    p = build(kind, top, [0] * m_size, GF8, **ratio)
+    con = codes.construction(kind, top, GF8, p.params)
+    gen, theta = con.generator, con.params["theta"]
+    want = [[0] * theta for _ in range(m_size)]
+    for t, idx in enumerate(con.words):
+        for c, i in enumerate(idx):
+            for r in range(gen.rows):
+                want[t * gen.rows + r][i - 1] = gen.data[r][c]
+    for c, i in enumerate(con.parity):
+        for t in range(len(con.words)):
+            for r in range(gen.rows):
+                want[t * gen.rows + r][i - 1] = gen.data[r][c]
+    assert codes.generator(p).data == want
+
+
+@pytest.mark.parametrize("kind, shape, ratio", REFERENCE[:6])
+def test_repair_plans_leave_no_elimination_cached(kind, shape, ratio):
+    """Compiling a repair plan eliminates its one-off system in place: a
+    repair of every node of a fresh construction adds no entry to the
+    elimination cache that decodes share."""
+    top = ClusterTopology(*shape)
+    m_size = declared_params(kind, top, **ratio)["M"]
+    p = build(kind, top, list(Random(3).randbytes(m_size)), GF8, **ratio)
+    codes._plan.cache_clear()
+    misses = mdscodec._eliminated.cache_info().misses
+    for node in top.nodes():
+        repair(p, node)
+    assert mdscodec._eliminated.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("text", [[1], 0.5, None, {"p": 1}])

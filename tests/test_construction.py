@@ -56,7 +56,6 @@ def test_layout_facts(kind, chi):
                 groups = sorted((i - 1) // n_i for i in idxs)
                 assert groups == list(range((node.l - 1) * n_i, node.l * n_i)), (top, node)
             if kind == "msr-stacked":
-                # one coordinate of each component codeword
-                assert all(len(set(idxs) & set(comp.idx)) == 1
-                           for comp in con.components), (top, node)
+                # one coordinate of each word
+                assert all(len(set(idxs) & set(word)) == 1 for word in con.words), (top, node)
     assert built > 0

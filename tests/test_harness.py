@@ -6,7 +6,6 @@ import pytest
 
 from clustercodes import codes, harness
 from clustercodes.codes import build, declared_params, parse_config
-from clustercodes.construction import Construction
 from clustercodes.errors import FormatError
 from clustercodes.galois import field_create
 from clustercodes.harness import (DECODE_SAMPLE, acceptance_systems, closed_form_count,
@@ -136,35 +135,34 @@ def test_certificate_agrees_with_decoding_every_set(raw):
 
 
 def _mutate(monkeypatch, edit, relayout=lambda layout: layout):
-    """Make every construction a copy whose components edit(components, gf)
-    gives and whose layout relayout(layout) gives: builds, reconstructs and
-    the certificate all see the same code, one object per construction so
-    that the engine's caches still hold."""
+    """Make every construction the copy that edit(con, gf) gives, with the
+    layout that relayout(layout) gives: builds, reconstructs and the
+    certificate all see the same code, one object per construction so that
+    the engine's caches still hold."""
     real, made = codes.construction, {}
 
     def construction(kind, top, gf, params):
         con = real(kind, top, gf, params)
         if con not in made:
-            made[con] = Construction(con.params, relayout(dict(con.layout)),
-                                     edit(con.components, gf), con.repair_plan)
+            made[con] = replace(edit(con, gf), layout=relayout(dict(con.layout)))
         return made[con]
 
     monkeypatch.setattr(codes, "construction", construction)
 
 
-def _set_column(comp, c, values):
-    """comp with column c of its generator (its Reed-Solomon code's too)
+def _set_column(con, c, values):
+    """con with column c of its base generator (its Reed-Solomon code's too)
     replaced by values."""
-    rows = [list(row) for row in comp.generator.data]
+    rows = [list(row) for row in con.generator.data]
     for row, v in zip(rows, values):
         row[c] = v
-    gen = Matrix(comp.generator.rows, comp.generator.cols, rows)
-    return replace(comp, generator=gen, rs=comp.rs and replace(comp.rs, generator=gen))
+    gen = Matrix(con.generator.rows, con.generator.cols, rows)
+    return replace(con, generator=gen, rs=con.rs and replace(con.rs, generator=gen))
 
 
 def _rank_mutation_fails(p, src, contact, method="rank-walk"):
     """The certificate fails on contact, as decoding every set does. A
-    mutation that breaks a component's structure leaves it to the rank
+    mutation that breaks the base code's structure leaves it to the rank
     walk."""
     result, oracle = verify_reconstruction(p, src), decode_every_set(p, src)
     assert not result.passed and not oracle.passed
@@ -177,32 +175,31 @@ def _rank_mutation_fails(p, src, contact, method="rank-walk"):
 def test_certificate_fails_on_zeroed_column(monkeypatch):
     """mbr0 (12,6,3): a zeroed column leaves 10 dimensions to the 11 symbols
     of the first contact set, at omega* = (4,2,0)."""
-    _mutate(monkeypatch, lambda comps, gf: (_set_column(comps[0], 0, [0] * 11),))
+    _mutate(monkeypatch, lambda con, gf: _set_column(con, 0, [0] * 11))
     p, src = build_fig4(3)
     _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3", "1,4", "2,1", "2,2"])
 
 
 def test_certificate_fails_on_copied_column(monkeypatch):
-    """msr-stacked (6,2,3): node 2 stores, in the first codeword, a copy of
-    node 1's column, so nodes 1 and 2 do not pin that codeword's message."""
-    _mutate(monkeypatch, lambda comps, gf: (
-        _set_column(comps[0], 1, comps[0].generator.column(0)), *comps[1:]))
+    """msr-stacked (6,2,3): node 2 stores, in every word, a copy of node 1's
+    column, so nodes 1 and 2 do not pin the first word's message."""
+    _mutate(monkeypatch, lambda con, gf: _set_column(con, 1, con.generator.column(0)))
     p, src = _built({"n": 6, "k": 2, "L": 3, "code": "msr-stacked"})
     _rank_mutation_fails(p, src, ["1,1", "1,2"])
 
 
 def test_certificate_walks_each_decoded_component(monkeypatch):
-    """msr0-div (6,3,2): with slot 1's second column a copy of its first, the
-    slot code is deficient on nodes 1-3 while the whole generator, parity
-    included, keeps full rank there. reconstruct decodes slot 1 on its own,
-    so the certificate walks it on its own."""
-    _mutate(monkeypatch, lambda comps, gf: (
-        _set_column(comps[0], 1, comps[0].generator.column(0)), *comps[1:]))
+    """msr0-div (6,3,2): with the base's fourth column a copy of its first,
+    the first word is deficient on N(1,1), N(1,2), N(2,1), which hold its
+    coordinates 1, 2 and 4, while the whole generator, parity included,
+    keeps full rank there. reconstruct decodes each word on its own, so the
+    certificate walks each on its own."""
+    _mutate(monkeypatch, lambda con, gf: _set_column(con, 3, con.generator.column(0)))
     p, src = _built({"n": 6, "k": 3, "L": 2, "code": "msr0-div"})
-    _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3"])
+    _rank_mutation_fails(p, src, ["1,1", "1,2", "2,1"])
     g, con = codes.generator(p), codes.construction(p.kind, p.topology, p.gf, p.params)
     whole = [[g.column(i - 1) for i in con.layout[node]] for node in p.topology.nodes()]
-    assert first_deficient(GF8, whole, [(0, 1, 2)], p.params["M"]) is None
+    assert first_deficient(GF8, whole, [(0, 1, 3)], p.params["M"]) is None
 
 
 def _vandermonde(gf, points, rows):
@@ -214,11 +211,11 @@ def test_certificate_fails_on_repeated_point(monkeypatch):
     the generator is still the Vandermonde matrix of its points, but they
     are not distinct, so the count does not apply and the rank walk finds
     the set that decoding finds."""
-    def repeat(comps, gf):
-        points = (comps[0].rs.eval_points[0],) * 2 + comps[0].rs.eval_points[2:]
-        gen = _vandermonde(gf, points, comps[0].rs.k_in)
-        return (replace(comps[0], generator=gen,
-                        rs=replace(comps[0].rs, eval_points=points, generator=gen)),)
+    def repeat(con, gf):
+        points = (con.rs.eval_points[0],) * 2 + con.rs.eval_points[2:]
+        gen = _vandermonde(gf, points, con.rs.k_in)
+        return replace(con, generator=gen,
+                       rs=replace(con.rs, eval_points=points, generator=gen))
 
     _mutate(monkeypatch, repeat)
     p, src = build_fig4(3)
@@ -234,19 +231,19 @@ def test_certificate_fails_on_short_layout(monkeypatch):
         layout[NodeId(1, 1)] = (1, 2, 4)
         return layout
 
-    _mutate(monkeypatch, lambda comps, gf: comps, relayout)
+    _mutate(monkeypatch, lambda con, gf: con, relayout)
     p, src = build_fig4(3)
     _rank_mutation_fails(p, src, ["1,1", "1,2", "2,1", "2,2", "2,3", "2,4"], "mds-count")
 
 
-def _rebased(comp, gf, xs):
-    """comp, an msr-wrapped component, on a copy of its product-matrix base
+def _rebased(con, gf, xs):
+    """con, an msr-wrapped construction, on a copy of its product-matrix base
     whose points are xs: every column is the new base's coeff row."""
-    base = copy(comp.pm)
+    base = copy(con.pm)
     base.xs = xs
     base.psi = [[gf.pow(x, e) for e in range(2 * base.alpha)] for x in xs]
     rows = [base.coeff(u, a) for u in range(base.n) for a in range(base.alpha)]
-    return replace(comp, pm=base,
+    return replace(con, pm=base,
                    generator=Matrix(base.file_size, len(rows), [list(c) for c in zip(*rows)]))
 
 
@@ -262,11 +259,11 @@ def test_certificate_fails_on_repeated_product_matrix_lambda(monkeypatch, raw, s
     """msr-wrapped whose second node's lambda repeats the first's: the
     product-matrix premise fails, and the rank walk finds the set that
     decoding finds."""
-    def edit(comps, gf):
-        xs = list(comps[0].pm.xs)
+    def edit(con, gf):
+        xs = list(con.pm.xs)
         xs[1] = second(gf, xs[0])
-        lambdas.append({gf.pow(x, comps[0].pm.alpha) for x in xs})
-        return (_rebased(comps[0], gf, xs),)
+        lambdas.append({gf.pow(x, con.pm.alpha) for x in xs})
+        return _rebased(con, gf, xs)
 
     lambdas = []
     _mutate(monkeypatch, edit)
@@ -279,7 +276,7 @@ def test_certificate_fails_on_column_off_the_product_matrix(monkeypatch):
     """msr-wrapped (9,5,3) with one generator column zeroed: the column is
     off its product-matrix coeff row, so the rank walk runs, and node (1,1)
     no longer completes any set."""
-    _mutate(monkeypatch, lambda comps, gf: (_set_column(comps[0], 0, [0] * 20),))
+    _mutate(monkeypatch, lambda con, gf: _set_column(con, 0, [0] * 20))
     p, src = _built({"n": 9, "k": 5, "L": 3, "code": "msr-wrapped", "epsilon": "1/2"})
     _rank_mutation_fails(p, src, ["1,1", "1,2", "1,3", "2,1", "2,2"])
 
