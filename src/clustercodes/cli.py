@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import codes, harness
@@ -42,6 +43,8 @@ def bytes_to_symbols(data: bytes, gf) -> list[int]:
     if gf.m % 8 != 0:
         raise ParamError(f"byte payloads need m in {{8, 16}}, got m={gf.m}")
     width = gf.m // 8
+    if width == 1:
+        return list(data)
     if len(data) % width != 0:
         raise ParamError(f"payload length {len(data)} is not a multiple of {width}")
     return [int.from_bytes(data[i:i + width], "big") for i in range(0, len(data), width)]
@@ -49,6 +52,8 @@ def bytes_to_symbols(data: bytes, gf) -> list[int]:
 
 def symbols_to_bytes(symbols: list[int], gf) -> bytes:
     width = gf.m // 8
+    if width == 1:
+        return bytes(symbols)
     return b"".join(s.to_bytes(width, "big") for s in symbols)
 
 
@@ -264,8 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of main and then shared:
+    parse_args returns a new namespace each time and leaves the parser as it
+    was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistentSharesError as e:

@@ -34,20 +34,6 @@ def find_factor(poly: int) -> int | None:
     return None
 
 
-def clmul_reduce(a: int, b: int, poly: int, m: int) -> int:
-    """Reference multiply: carry-less product of a and b, reduced by poly."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    for bit in range(poly_degree(acc), m - 1, -1):
-        if acc >> bit & 1:
-            acc ^= poly << (bit - m)
-    return acc
-
-
 class GF:
     """The field GF(2^m) with the given reduction polynomial.
 

@@ -227,7 +227,7 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
             return fail(node=_node_str(node),
                         reason="stored symbols differ from the encode of the source")
     shorts = {}  # per node masks, its count: msr-stacked's words share one
-    for cols in held:
+    for w, cols in enumerate(held):
         if method == "mds-count":
             masks = tuple(sum(1 << c for c in cs) for cs in cols)
             if masks not in shorts:
@@ -241,7 +241,7 @@ def verify_reconstruction(p: Placement, source: list[int], limit: int = 10_000,
             bad = None
         if bad is not None:
             return fail(bad, reason=f"contacted symbols span fewer than the {rank} "
-                                    f"source symbols of a component")
+                                    f"source symbols of word {w}")
     for subset in decode_sample(sets, seed):
         coverage["decoded"] += 1
         try:

@@ -59,21 +59,6 @@ def mat_mul(gf: GF, a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
-def vec_mat(gf: GF, v: list[int], m: Matrix) -> list[int]:
-    """Row vector times matrix."""
-    if len(v) != m.rows:
-        raise ParamError(f"vector length {len(v)} does not match {m.rows} rows")
-    out = [0] * m.cols
-    for t, x in enumerate(v):
-        if x == 0:
-            continue
-        row = m.data[t]
-        for j in range(m.cols):
-            if row[j]:
-                out[j] ^= gf.mul(x, row[j])
-    return out
-
-
 _IDENTITY = bytes(range(256))
 _ZERO = bytes(256)
 _TYPECODE = {1: "B", 2: "H"}  # array item of a w-byte symbol (m <= 16)

@@ -1,8 +1,11 @@
 """Placement and repair-transcript records plus their JSON wire formats.
 
 Placement JSON: {"kind", "params", "nodes": [{"l", "j", "symbols":
-[{"idx", "val_hex"}]}]}; keys are emitted sorted so serialization is stable.
-Symbol indices are 1-based and global; values are hex at the field's width.
+[{"idx", "val_hex"}]}]}. Every file is written by dump_json as one line of
+compact JSON with sorted keys, so serialization is stable; any other
+whitespace, such as the indented form `python -m json.tool` prints, reads
+the same. Symbol indices are 1-based and global; values are hex at the
+field's width.
 
 In memory a node's holding is a Holding: one stripe per layout symbol (see
 mdscodec.to_stripes), seen by callers as its (index, value) pairs.
@@ -15,6 +18,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .errors import FormatError
@@ -196,9 +200,10 @@ def _nodes_from_obj(entries: list[dict], top: ClusterTopology, gf: GF,
         if node in nodes:
             raise FormatError(f"{node} is listed twice")
         node_flat(node, top)
-        idxs = [x["idx"] for x in entry["symbols"]]
-        texts = [x["val_hex"] for x in entry["symbols"]]
-        if not all(type(idx) is int for idx in idxs):
+        symbols = entry["symbols"]
+        idxs = list(map(itemgetter("idx"), symbols))
+        texts = list(map(itemgetter("val_hex"), symbols))
+        if not set(map(type, idxs)) <= {int}:  # no bool, float or str
             raise FormatError(f"{node} has a symbol idx that is not an integer")
         # one match over the node: each value exactly `width` lowercase hex digits
         joined = " ".join(texts)
@@ -258,7 +263,9 @@ def transcript_to_obj(t: RepairTranscript, gf: GF) -> dict:
 
 
 def dump_json(obj: dict | list) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON writer of the file boundary: one line with sorted keys and
+    no spaces, so that CPython's C encoder writes it (indent turns it off)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_json(text: str, arrays: bool = False) -> dict | list:

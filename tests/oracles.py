@@ -45,6 +45,36 @@ def ref_mul(a: int, b: int, poly: int, m: int) -> int:
     return acc
 
 
+def clmul_reduce(a: int, b: int, poly: int, m: int) -> int:
+    """Carry-less product of a and b, then reduced by poly from the top bit
+    down."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    for bit in range(acc.bit_length() - 1, m - 1, -1):
+        if acc >> bit & 1:
+            acc ^= poly << (bit - m)
+    return acc
+
+
+def vec_mat(gf, v: list[int], m: Matrix) -> list[int]:
+    """Row vector times matrix, one gf.mul per nonzero product."""
+    if len(v) != m.rows:
+        raise ParamError(f"vector length {len(v)} does not match {m.rows} rows")
+    out = [0] * m.cols
+    for t, x in enumerate(v):
+        if x == 0:
+            continue
+        row = m.data[t]
+        for j in range(m.cols):
+            if row[j]:
+                out[j] ^= gf.mul(x, row[j])
+    return out
+
+
 def det(gf, rows: list[list[int]]) -> int:
     """Cofactor-expansion determinant (characteristic 2: no sign bookkeeping)."""
     n = len(rows)

@@ -1,13 +1,20 @@
+import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from clustercodes.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 FIG4 = ["--n", "12", "--k", "6", "--L", "3"]
 
 
@@ -601,7 +608,8 @@ def test_field_over_16_bits_exit_2(tmp_path, capsys, m, poly, via):
 @pytest.mark.parametrize("kind", KIND_SYSTEMS)
 def test_dump_generator_encodes_the_placement(tmp_path, capsys, kind):
     from clustercodes.galois import field_create
-    from clustercodes.mdscodec import Matrix, vec_mat
+    from clustercodes.mdscodec import Matrix
+    from oracles import vec_mat
     gen = tmp_path / "gen.csv"
     payload, place = build_kind(tmp_path, capsys, kind, 1, "--dump-generator", str(gen))
     rows = [[int(x, 16) for x in line.split(",")]
@@ -674,3 +682,142 @@ def test_msr0_div_contacted_parity_checked(tmp_path, capsys, s):
                        "--nodes", "1,1", "1,2", "2,1", "--out", str(tmp_path / "x.bin"))
     assert code == 1, err
     assert "Traceback" not in err
+
+
+# The file boundary: compact one-line JSON out, any JSON whitespace in.
+
+def indented(text):
+    """text in the indented form earlier versions of the CLI wrote."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def written_files(tmp_path):
+    """What the CLI writes for a fixed set of inputs, in order: the placement
+    of every kind at s = 2 and of mbr0 over GF(2^16), each one's transcript
+    and node file for a repair of N(1,2), two params outputs, a capacity
+    output and a verify report without its elapsed time."""
+    for kind, (flags, m_size) in [*KIND_SYSTEMS.items(),
+                                  ("mbr0", (KIND_SYSTEMS["mbr0"][0] + ["--field-m", "16"], 6))]:
+        src, place = tmp_path / "src.bin", tmp_path / "place.json"
+        src.write_bytes(Random(len(kind)).randbytes(2 * m_size))
+        files = [tmp_path / name for name in ("t.json", "n.json")]
+        assert main(["build", "--code", kind, *flags, "--source", str(src),
+                     "--out", str(place)]) == 0
+        assert main(["repair", "--placement", str(place), "--node", "1,2",
+                     "--out-transcript", str(files[0]), "--out-node", str(files[1])]) == 0
+        yield from (path.read_text() for path in (place, *files))
+    out, cfg = tmp_path / "out.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "k": 3, "L": 2, "code": "msr0-div", "seed": 3}))
+    for argv in (["params", *FIG4, "--epsilon", "0", "--mode", "mbr"],
+                 ["params", "--n", "6", "--k", "3", "--L", "2", "--epsilon", "2/5",
+                  "--mode", "msr"],
+                 ["capacity", *FIG4, "--alpha", "3", "--beta-i", "1", "--beta-c", "0"]):
+        assert main([*argv, "--out", str(out)]) == 0
+        yield out.read_text()
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    yield re.sub(r'("elapsed_ms":\s*)[^,}\s]+', r"\1null", out.read_text())
+
+
+# SHA-256 of written_files as the indented writer of earlier versions wrote
+# them, taken from that writer itself
+INDENTED_DIGEST = "9a9b767f294688dcbd8b10fa100df0af1846247d81d77eac3b07a2b546e45a4d"
+
+
+def test_compact_files_decode_to_the_indented_files_objects(tmp_path):
+    """Each file is one line of compact sorted-key JSON, and decodes to the
+    object the indented writer wrote for the same input: only whitespace
+    changed."""
+    digest = hashlib.sha256()
+    for text in written_files(tmp_path):
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        digest.update(indented(text).encode())
+    assert digest.hexdigest() == INDENTED_DIGEST
+
+
+@pytest.mark.parametrize("kind", KIND_SYSTEMS)
+def test_indented_files_still_read(tmp_path, capsys, kind):
+    """A placement in the indented form repairs to the same transcript and
+    node files as its compact form and reconstructs to the payload; indented
+    transcript and node files decode to the compact ones' objects."""
+    from clustercodes.placement import load_json, placement_from_obj
+    payload, place = build_kind(tmp_path, capsys, kind, 2)
+    old = tmp_path / "indented.json"
+    old.write_text(indented(place.read_text()))
+    assert placement_from_obj(load_json(old.read_text())).holdings == \
+        placement_from_obj(load_json(place.read_text())).holdings
+    written = []
+    for path in (place, old):
+        repair, reconstruct = load_commands(tmp_path, path)
+        for argv in (repair, reconstruct):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert (tmp_path / "x.bin").read_bytes() == payload
+        written.append([(tmp_path / name).read_text() for name in ("t.json", "n.json")])
+    assert written[0] == written[1]
+    for text in written[0]:
+        assert load_json(indented(text)) == load_json(text)
+
+
+@pytest.mark.parametrize("idx", [True, 1.0, "1"])
+def test_symbol_idx_equal_to_an_integer_still_refused(tmp_path, capsys, idx):
+    """idx 1 written as true, 1.0 or "1": equal to the right index in Python,
+    refused by its type."""
+    _, place = build_kind(tmp_path, capsys, "mbr0", 2)
+    obj = json.loads(place.read_text())
+    assert obj["nodes"][0]["symbols"][0]["idx"] == 1
+    obj["nodes"][0]["symbols"][0]["idx"] = idx
+    place.write_text(json.dumps(obj))
+    for argv in load_commands(tmp_path, place):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, (argv[0], err)
+        assert "not an integer" in err and "Traceback" not in err
+
+
+def test_byte_boundary_roundtrips():
+    """One byte per symbol over GF(2^8), a big-endian pair over GF(2^16)."""
+    from clustercodes.cli import bytes_to_symbols, symbols_to_bytes
+    from clustercodes.galois import field_create
+    data = Random(5).randbytes(64)
+    gf8, gf16 = field_create(8), field_create(16)
+    assert bytes_to_symbols(data, gf8) == list(data)
+    wide = bytes_to_symbols(data, gf16)
+    assert wide == [data[i] << 8 | data[i + 1] for i in range(0, len(data), 2)]
+    for gf, symbols in ((gf8, list(data)), (gf16, wide)):
+        assert symbols_to_bytes(symbols, gf) == data
+        assert bytes_to_symbols(b"", gf) == [] and symbols_to_bytes([], gf) == b""
+
+
+def test_odd_payload_over_gf16_exit_2(tmp_path, capsys):
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(7))
+    code, _, err = run(capsys, "build", "--code", "mbr0", "--n", "6", "--k", "3",
+                       "--L", "2", "--field-m", "16", "--source", str(src),
+                       "--out", str(tmp_path / "p.json"))
+    assert code == 2, err
+    assert "not a multiple of 2" in err and "Traceback" not in err
+
+
+def test_shared_parser_writes_what_a_fresh_process_writes(tmp_path):
+    """main reuses one parser: a build with --chi and --dump-generator, then
+    one with neither, each write what `python -m clustercodes` writes in a new
+    process; the second call takes no chi and writes no generator."""
+    src = tmp_path / "src.bin"
+    src.write_bytes(Random(6).randbytes(18))  # M = 18 for mbr at chi 3, 3 for mbr0
+    shape = ["--n", "6", "--k", "3", "--L", "2", "--source", str(src)]
+    calls = [["build", "--code", "mbr", "--chi", "3", *shape],
+             ["build", "--code", "mbr0", *shape]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for i, argv in enumerate(calls):
+        outs = [tmp_path / f"{who}-{i}.json" for who in ("here", "fresh")]
+        gens = [tmp_path / f"{who}-{i}.csv" for who in ("here", "fresh")]
+        extra = [["--out", str(out)] + (["--dump-generator", str(gen)] if i == 0 else [])
+                 for out, gen in zip(outs, gens)]
+        assert main(argv + extra[0]) == 0
+        proc = subprocess.run([sys.executable, "-m", "clustercodes", *argv, *extra[1]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_text() == outs[1].read_text()
+        assert [gen.exists() for gen in gens] == [i == 0] * 2
+        if i == 0:
+            assert gens[0].read_text() == gens[1].read_text()

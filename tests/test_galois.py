@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercodes.errors import ParamError
-from clustercodes.galois import (DEFAULT_POLY, GF, clmul_reduce, field_create, find_factor,
-                                 poly_mod)
+from clustercodes.galois import DEFAULT_POLY, GF, field_create, find_factor, poly_mod
 
-from oracles import gf2_factors, ref_mul
+from oracles import clmul_reduce, gf2_factors, ref_mul
 
 GF8 = field_create(8)
 

@@ -1,3 +1,4 @@
+import re
 from copy import copy
 from dataclasses import replace
 from math import comb
@@ -168,6 +169,7 @@ def _rank_mutation_fails(p, src, contact, method="rank-walk"):
     assert not result.passed and not oracle.passed
     assert result.counterexample["contact"] == oracle.counterexample["contact"] == contact
     assert "span fewer" in result.counterexample["reason"]
+    assert re.search(r"of word \d+$", result.counterexample["reason"])
     assert result.coverage["decoded"] == 0
     assert result.coverage["method"] == method
 

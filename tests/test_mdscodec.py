@@ -12,10 +12,10 @@ from clustercodes.galois import field_create
 from clustercodes.mdscodec import (LinearMap, Matrix, byte_tables, first_deficient,
                                    from_stripes, generator_min_distance, mat_mul,
                                    mat_rank, mat_solve, rs_create, rs_decode,
-                                   rs_encode, to_stripes, vec_mat)
+                                   rs_encode, to_stripes)
 from clustercodes.topology import ClusterTopology, contact_sets
 
-from oracles import det, min_distance, rank as oracle_rank
+from oracles import det, min_distance, rank as oracle_rank, vec_mat
 
 GF8 = field_create(8)
 GF16 = field_create(16)
